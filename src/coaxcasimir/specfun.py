@@ -14,29 +14,34 @@ scaled values themselves leave the double range (:math:`i_n` underflows
 while :math:`k_n` overflows, even though every physically relevant
 combination of the two stays tame).
 
-Two independent evaluation regimes are implemented:
+Two independent evaluation regimes are implemented, each returning all
+four logs -- ``ln i``, ``ln k``, ``ln i'`` and ``ln |k'|`` -- for a whole
+argument array from one kernel call:
 
 * orders ``n <= 40``: the scaled routines of :mod:`scipy.special`
   (``ive``/``kve``), accurate to a few 1e-14 in relative terms over the
-  domain used here;
-* orders ``n >= 41``: uniform large-order asymptotic expansions carried to
-  eighth order in ``1/n``, evaluated directly in log space.
+  domain used here.  One ``ive`` call at orders ``n, n+1`` and one ``kve``
+  call at orders ``|n-1|, n`` give the derivatives through
 
-The two regimes agree in their overlap window to better than 1e-12
-relative, which the test-suite checks explicitly (the contract is 1e-10).
+  .. math::
 
-Derivatives are always taken through the three-term recurrences
+      I_n'(x) = I_{n+1}(x) + \tfrac{n}{x} I_n(x), \qquad
+      -K_n'(x) = K_{n-1}(x) + \tfrac{n}{x} K_n(x),
 
-.. math::
+  sums of positive terms, so nothing cancels;
+* orders ``n >= 41``: the uniform large-order expansions of
+  :math:`I_n, K_n` and of :math:`I_n', K_n'` (DLMF 10.41.3-4, polynomials
+  :math:`u_k` and :math:`v_k`) carried to eighth order in ``1/n``,
+  evaluated directly in log space from one shared phase.
 
-    I_n'(x) = \tfrac12 (I_{n-1} + I_{n+1}), \qquad
-    K_n'(x) = -\tfrac12 (K_{n-1} + K_{n+1}),
-
-never by finite differences.
+Derivatives are never taken by finite differences.  The two regimes agree
+in their overlap window to better than 1e-12 relative, which the
+test-suite checks explicitly (the contract is 1e-10).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,14 +61,13 @@ __all__ = [
 # accurate; below it ive/kve never leave the double range for x >= 1e-8.
 _SCIPY_ORDER_MAX = 40
 
-_LN2 = math.log(2.0)
-
-# Coefficient table of the Debye polynomials u_k(t), k = 0..8, stored as
-#   u_k(t) = t**k * sum_j _UK[k][j] * t**(2*j).
-# Generated once from the standard recurrence
+# Coefficient tables of the Debye polynomials u_k(t) and v_k(t), k = 0..8,
+# stored as
+#   u_k(t) = t**k * sum_j _UK[k][j] * t**(2*j)   (same layout for _VK).
+# Generated from the recurrence
 #   u_{k+1} = t^2 (1-t^2) u_k' / 2 + (1/8) \int_0^t (1-5 s^2) u_k ds
-# (see scripts/gen_debye_tables.py); the low orders match the printed
-# classical values exactly.
+# and from v_k = u_k + t (t^2-1) (u_{k-1}/2 + t u_{k-1}') (DLMF 10.41.11)
+# by scripts/gen_debye_tables.py, which the tests check bitwise.
 _UK = (
     (1.0,),
     (0.125, -0.20833333333333334),
@@ -83,6 +87,58 @@ _UK = (
      -41192.65496889755, 122200.46498301746, -203400.17728041555,
      192547.00123253153, -96980.59838863752, 20204.29133096615),
 )
+_VK = (
+    (1.0,),
+    (-0.375, 0.2916666666666667),
+    (-0.1171875, 0.515625, -0.3949652777777778),
+    (-0.1025390625, 1.0892578125, -2.1305338541666665, 1.1464964313271604),
+    (-0.144195556640625, 2.7939208984375, -9.961006673177083,
+     12.386687102141204, -5.0756352428546165),
+    (-0.2775764465332031, 8.502455030168806, -47.53911624484592,
+     100.56283597592954, -91.40711508856879, 30.15773273462785),
+    (-0.6765925884246826, 30.023621218545095, -241.15793403307597,
+     760.412638452318, -1138.5082638263702, 814.6235951180321,
+     -224.71699461288668),
+    (-1.993531733751297, 120.80749858702931, -1315.2746192369575,
+     5730.098736902475, -12459.213566993121, 14409.977279551358,
+     -8497.490948317705, 2013.0897434071098),
+    (-6.883914268109947, 545.9063894860446, -7727.732937488438,
+     44243.96274437144, -130084.36594966374, 215023.04455358215,
+     -202421.2064239434, 101491.32389508576, -21064.0484088796),
+)
+
+
+def _series_basis() -> np.ndarray:
+    """B[k] with sum_k B[k] / n**k the rows (even u, even v, odd u, odd v).
+
+    Each row holds coefficients in powers of s = t**2, highest power first
+    as Horner's rule takes them.  The sum over k >= 1 of u_k(t)/n^k splits
+    into its even-k part and t times its odd-k part, both polynomials in s;
+    the I series is even + t*odd and the K series, whose terms alternate as
+    (-1)^k, is even - t*odd.  The k = 0 term (the leading 1) is left out so
+    that the series feed ``log1p``.
+    """
+    width = max(len(row) + k // 2 for k, row in enumerate(_UK))
+    basis = np.zeros((len(_UK), 4, width))
+    for k in range(1, len(_UK)):
+        for col, table in enumerate((_UK, _VK)):
+            row = 2 * (k % 2) + col
+            coeffs = table[k]
+            basis[k, row, k // 2:k // 2 + len(coeffs)] = coeffs
+    return basis[:, :, ::-1].copy()
+
+
+_SERIES_BASIS = _series_basis()
+
+
+@functools.lru_cache(maxsize=4096)
+def _series_coefficients(n: int) -> np.ndarray:
+    """The order-n rows of ``_series_basis``: sum_k B[k] / n**k."""
+    inv = 1.0 / float(n)
+    coeffs = sum(_SERIES_BASIS[k] * inv**k
+                 for k in range(1, len(_SERIES_BASIS)))
+    coeffs.flags.writeable = False   # shared by every caller through the cache
+    return coeffs
 
 
 def _validate_order_argument(n: int, x) -> np.ndarray:
@@ -94,16 +150,8 @@ def _validate_order_argument(n: int, x) -> np.ndarray:
     return x
 
 
-def _debye_poly(k: int, t: np.ndarray) -> np.ndarray:
-    """Evaluate u_k(t) by Horner recursion in t**2."""
-    acc = np.zeros_like(t)
-    for c in reversed(_UK[k]):
-        acc = acc * t * t + c
-    return acc * t**k
-
-
-def _log_ik_debye(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r"""Logs of the scaled pair from the uniform large-order expansion.
+def _log_ik_debye(n: int, x: np.ndarray):
+    r"""(ln i_n, ln k_n, ln i_n', ln |k_n'|) from the uniform expansions.
 
     With :math:`z = x/n`, :math:`t = (1+z^2)^{-1/2}` and the phase
     :math:`\eta = \sqrt{1+z^2} + \ln(z / (1 + \sqrt{1+z^2}))`,
@@ -111,47 +159,61 @@ def _log_ik_debye(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     .. math::
 
         \ln i_n = n(\eta - z) - \tfrac14 \ln(1+z^2)
-                  - \tfrac12 \ln(2\pi n) + \ln \Sigma_I,
+                  - \tfrac12 \ln(2\pi n) + \ln \Sigma_u(t),
 
-    and analogously for :math:`k_n` with the sign of the phase and of the
-    odd series terms flipped.  The combination :math:`\eta - z` is formed
-    from ``1/(hypot(1,z)+z) - asinh(1/z)`` to avoid cancellation at large
-    ``z``.
+        \ln i_n' = n(\eta - z) + \tfrac14 \ln(1+z^2) - \ln z
+                  - \tfrac12 \ln(2\pi n) + \ln \Sigma_v(t),
+
+    and analogously for :math:`k_n` and :math:`|k_n'|` with the sign of
+    the phase and of the odd series terms flipped and
+    :math:`\tfrac12 \ln(\pi/2n)` as constant.  The combination
+    :math:`\eta - z` is formed once, from ``1/(hypot(1,z)+z) -
+    asinh(1/z)`` to avoid cancellation at large ``z``; all four series
+    are evaluated together by one Horner pass in :math:`t^2`.
     """
     nu = float(n)
     z = x / nu
     hyp = np.hypot(1.0, z)
     t = 1.0 / hyp
-    eta_minus_z = 1.0 / (hyp + z) - np.arcsinh(1.0 / z)
-    series_i = np.zeros_like(z)
-    series_k = np.zeros_like(z)
-    for k in range(1, len(_UK)):
-        term = _debye_poly(k, t) / nu**k
-        series_i += term
-        series_k += term if k % 2 == 0 else -term
-    base = -0.25 * np.log1p(z * z)
-    log_i = nu * eta_minus_z + base - 0.5 * math.log(2.0 * math.pi * nu) \
-        + np.log1p(series_i)
-    log_k = -nu * eta_minus_z + base + 0.5 * math.log(math.pi / (2.0 * nu)) \
-        + np.log1p(series_k)
-    return log_i, log_k
+    s = t * t
+    lead = nu * (1.0 / (hyp + z) - np.arcsinh(1.0 / z))
+    coeffs = _series_coefficients(n).reshape((4, -1) + (1,) * x.ndim)
+    acc = coeffs[:, 0]
+    for c in coeffs[:, 1:].swapaxes(0, 1):
+        acc = acc * s + c
+    even, odd = acc[:2], acc[2:] * t
+    log_plus = np.log1p(even + odd)      # I and I' series
+    log_minus = np.log1p(even - odd)     # K and K' series
+    quarter = 0.25 * np.log1p(z * z)
+    c_i = -0.5 * math.log(2.0 * math.pi * nu)
+    c_k = 0.5 * math.log(math.pi / (2.0 * nu))
+    log_i = lead - quarter + c_i + log_plus[0]
+    log_k = -lead - quarter + c_k + log_minus[0]
+    prime = quarter - np.log(z)
+    log_iprime = lead + prime + c_i + log_plus[1]
+    log_kprime = -lead + prime + c_k + log_minus[1]
+    return log_i, log_k, log_iprime, log_kprime
 
 
-def _log_ik_scipy(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    iv = _sp.ive(n, x)
-    kv = _sp.kve(n, x)
-    if np.any(iv <= 0.0) or np.any(~np.isfinite(kv)):
+def _log_ik_scipy(n: int, x: np.ndarray):
+    """(ln i_n, ln k_n, ln i_n', ln |k_n'|) from one ive and one kve call."""
+    shape = (2,) + (1,) * x.ndim
+    iv = _sp.ive(np.reshape((n, n + 1), shape), x)
+    kv = _sp.kve(np.reshape((abs(n - 1), n), shape), x)
+    n_over_x = n / x
+    kprime = kv[0] + n_over_x * kv[1]
+    if np.any(iv <= 0.0) or not np.all(np.isfinite(kprime)):
         raise OverflowError(
             f"scaled Bessel pair left the double range at order {n}"
         )
-    return np.log(iv), np.log(kv)
+    return (np.log(iv[0]), np.log(kv[1]),
+            np.log(iv[1] + n_over_x * iv[0]), np.log(kprime))
 
 
-def _log_ik(n: int, x: np.ndarray, *, regime_order: int | None = None):
-    """Logs of (i_n, k_n); the regime is chosen by ``regime_order``.
+def _pair_logs(n: int, x: np.ndarray, regime_order: int | None = None):
+    """Return (log i_n, log k_n, log i_n', log |k_n'|) at order n >= 0.
 
-    ``regime_order`` exists so that a derivative recurrence can evaluate
-    orders n-1, n, n+1 through one and the same regime.
+    The regime is that of ``regime_order`` (default: ``n`` itself).
     """
     sel = n if regime_order is None else regime_order
     if sel <= _SCIPY_ORDER_MAX:
@@ -159,17 +221,13 @@ def _log_ik(n: int, x: np.ndarray, *, regime_order: int | None = None):
     return _log_ik_debye(n, x)
 
 
-def _pair_logs(n: int, x: np.ndarray):
-    """Return (log i_n, log k_n, log i_n', log |k_n'|) at order n >= 0."""
-    log_i, log_k = _log_ik(n, x, regime_order=n)
-    if n == 0:
-        log_i1, log_k1 = _log_ik(1, x, regime_order=n)
-        return log_i, log_k, log_i1, log_k1
-    log_im, log_km = _log_ik(n - 1, x, regime_order=n)
-    log_ip_, log_kp_ = _log_ik(n + 1, x, regime_order=n)
-    log_iprime = np.logaddexp(log_im, log_ip_) - _LN2
-    log_kprime = np.logaddexp(log_km, log_kp_) - _LN2
-    return log_i, log_k, log_iprime, log_kprime
+def _log_ik(n: int, x: np.ndarray, *, regime_order: int | None = None):
+    """Logs of (i_n, k_n) alone, through the regime of ``regime_order``.
+
+    ``regime_order`` lets the tests evaluate one order through either
+    regime to compare them on their overlap.
+    """
+    return _pair_logs(n, x, regime_order)[:2]
 
 
 def _checked_exp(log_value, what: str):
@@ -273,16 +331,16 @@ def reflection_ratio_logs(n: int, y, ratio: float):
     """Both round-trip reflection log-ratios at once (vectorized in y).
 
     Returns ``(log_dirichlet, log_neumann)`` as arrays matching ``y``.
-    This is the fast path for energy integrands: the Bessel pair at each
-    argument is computed once and shared between the two ratios.
+    This is the fast path for energy integrands: the arguments ``y`` and
+    ``ratio * y`` go to the Bessel kernel as one array, and its four logs
+    at each argument are shared between the two ratios.
     """
     y, ratio, scalar = _validate_ratio_args(n, y, ratio)
-    n = abs(int(n))
-    li_y, lk_y, lip_y, lkp_y = _pair_logs(n, y)
-    li_a, lk_a, lip_a, lkp_a = _pair_logs(n, ratio * y)
+    m = len(y)
+    li, lk, lip, lkp = _pair_logs(abs(int(n)), np.concatenate((y, ratio * y)))
     damping = -2.0 * y * (ratio - 1.0)
-    lrd = damping + (li_y - li_a) + (lk_a - lk_y)
-    lrn = damping + (lip_y - lip_a) + (lkp_a - lkp_y)
+    lrd = damping + (li[:m] - li[m:]) + (lk[m:] - lk[:m])
+    lrn = damping + (lip[:m] - lip[m:]) + (lkp[m:] - lkp[:m])
     if scalar:
         return lrd.item(), lrn.item()
     return lrd, lrn
@@ -316,12 +374,7 @@ def log_dirichlet_ratio(n: int, y, ratio: float):
     -------
     float or ndarray
     """
-    y, ratio, scalar = _validate_ratio_args(n, y, ratio)
-    n = abs(int(n))
-    li_y, lk_y = _log_ik(n, y)
-    li_a, lk_a = _log_ik(n, ratio * y)
-    out = -2.0 * y * (ratio - 1.0) + (li_y - li_a) + (lk_a - lk_y)
-    return out.item() if scalar else out
+    return reflection_ratio_logs(n, y, ratio)[0]
 
 
 def log_neumann_ratio(n: int, y, ratio: float):
@@ -334,12 +387,7 @@ def log_neumann_ratio(n: int, y, ratio: float):
     its log is again strictly negative.  At n = 0 this coincides with the
     Dirichlet ratio of the order-1 functions (I_0' = I_1, K_0' = -K_1).
     """
-    y, ratio, scalar = _validate_ratio_args(n, y, ratio)
-    n = abs(int(n))
-    _, _, lip_y, lkp_y = _pair_logs(n, y)
-    _, _, lip_a, lkp_a = _pair_logs(n, ratio * y)
-    out = -2.0 * y * (ratio - 1.0) + (lip_y - lip_a) + (lkp_a - lkp_y)
-    return out.item() if scalar else out
+    return reflection_ratio_logs(n, y, ratio)[1]
 
 
 def _validate_ratio_args(n, y, ratio):

@@ -6,6 +6,10 @@ parsed exactly as a shell consumer would see it.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,21 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+@pytest.mark.parametrize("module", ["coaxcasimir", "coaxcasimir.cli"])
+def test_module_entry_points_run_the_cli(module):
+    """``python -m`` on the package or on the cli module runs a command."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "energy", "--alpha", "2.0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["alpha"] == 2.0
+    assert payload["converged"] is True
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -4,7 +4,9 @@ Frozen expected values were generated by ``tests/oracles.py`` (mpmath
 at 30 digits, independent algorithms); see that module to regenerate.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,11 @@ from hypothesis import given, strategies as st
 
 from coaxcasimir.specfun import (
     _SCIPY_ORDER_MAX,
+    _UK,
+    _VK,
     _log_ik,
+    _log_ik_debye,
+    _log_ik_scipy,
     log_dirichlet_ratio,
     log_neumann_ratio,
     reflection_ratio_logs,
@@ -40,6 +46,28 @@ PAIR_60_10_LOGS = (
     -99.84816531541599211164,
     98.65789547840486357856,
 )
+# oracle pins: (log i, log k, log i', log |k'|) in the large-order regime
+# at the extremes of t = (1 + (x/n)^2)^(-1/2): near 1, mid-range, near 0
+DEBYE_EXTREME_LOGS = {
+    (1000, 1.0): (
+        -6606.275109297890033378,
+        6598.674206338347701018,
+        -6599.367353519407646077,
+        6605.581962117830087819,
+    ),
+    (200, 100.0): (
+        -168.7443674777169204741,
+        162.6413296549682831921,
+        -167.9400943367074863337,
+        163.4464972263586303525,
+    ),
+    (41, 1000.0): (
+        -5.213493781587055397747,
+        -2.388248348769806330231,
+        -5.213152977263027336662,
+        -2.386910060207966516788,
+    ),
+}
 LOG_DIRICHLET_0_1_2 = -1.895502989044699472182
 LOG_NEUMANN_0_1_2 = -2.494201815386752586208
 LOG_NEUMANN_1_1_2 = -2.466735238839884393738
@@ -73,6 +101,41 @@ def test_large_order_logs_match_oracle():
     assert pair.log_k == pytest.approx(lk, rel=1e-12)
     assert pair.log_iprime == pytest.approx(lip, rel=1e-12)
     assert pair.log_kprime == pytest.approx(lkp, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, x", sorted(DEBYE_EXTREME_LOGS))
+def test_large_order_derivative_logs_match_oracle(n, x):
+    """All four logs, derivatives included, at the extremes of t."""
+    pair = scaled_modified_bessel(n, x)
+    got = (pair.log_i, pair.log_k, pair.log_iprime, pair.log_kprime)
+    for value, expected in zip(got, DEBYE_EXTREME_LOGS[n, x]):
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kernel, n",
+    [(_log_ik_scipy, 0), (_log_ik_scipy, 40), (_log_ik_scipy, 41),
+     (_log_ik_debye, 40), (_log_ik_debye, 41)],
+)
+@pytest.mark.parametrize("x", [np.asarray(2.5), np.array([0.7, 2.5, 30.0])])
+def test_kernels_return_four_logs_shaped_like_argument(kernel, n, x):
+    logs = kernel(n, x)
+    assert len(logs) == 4
+    for log_value in logs:
+        assert np.shape(log_value) == x.shape
+        assert np.all(np.isfinite(log_value))
+
+
+def test_debye_tables_match_their_generator():
+    """The embedded u_k and v_k tables are the script's output, bitwise."""
+    pytest.importorskip("sympy")
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gen_debye_tables.py"
+    spec = importlib.util.spec_from_file_location("gen_debye_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    u_rows, v_rows = module.coefficient_tables(len(_UK) - 1)
+    assert tuple(map(tuple, u_rows)) == _UK
+    assert tuple(map(tuple, v_rows)) == _VK
 
 
 @given(n=orders, lx=log_x)
