@@ -98,7 +98,12 @@ class QuadratureResult:
 
 
 def _estimate(fx: np.ndarray, lo: float, hi: float):
-    """Kronrod value and |K-G| error estimate for one panel's 15 values."""
+    """Kronrod value, |K-G| error estimate and rounding floor for one panel.
+
+    The floor, ``50 eps`` times the Kronrod integral of ``|f|``, is the
+    smallest error the estimate ever reports; bisection leaves it nearly
+    unchanged, since the integrals of ``|f|`` over the halves add up.
+    """
     half = 0.5 * (hi - lo)
     kron = half * float(fx @ _WEIGHTS_K)
     gauss = half * float(fx @ _WEIGHTS_G)
@@ -110,16 +115,16 @@ def _estimate(fx: np.ndarray, lo: float, hi: float):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     resabs = abs(half) * float(np.abs(fx) @ _WEIGHTS_K)
-    err = max(err, 50.0 * np.finfo(float).eps * resabs)
-    return kron, err
+    floor = 50.0 * np.finfo(float).eps * resabs
+    return kron, max(err, floor), floor
 
 
-def _lockstep(f, tasks) -> list[QuadratureResult]:
+def _lockstep(f, tasks) -> list:
     """Advance independent integrals together; return their results.
 
     Each task is a generator that yields the panels it needs next, as a
-    list of ``(lo, hi)`` pairs, is sent their ``(value, error)`` estimates
-    in the same order, and finally returns its ``QuadratureResult``.
+    list of ``(lo, hi)`` pairs, is sent their ``(value, error, floor)``
+    estimates in the same order, and finally returns its result.
     Every round evaluates all pending panels of all tasks in one call
     ``f(x, which)``.  The estimates are still formed panel by panel (one
     matrix product over all panels would sum in another order), so a
@@ -161,25 +166,34 @@ def _single(f):
 
 
 def _finite(lo: float, hi: float, spec: QuadratureSpec):
-    """Task for :func:`_lockstep`: one adaptive integral over [lo, hi]."""
-    (val, err), = yield [(lo, hi)]
-    panels = [(lo, hi, val, err)]
+    """Task for :func:`_lockstep`: one adaptive integral over [lo, hi].
+
+    Returns the ``QuadratureResult`` and the summed rounding floor of
+    the final panels.  Once every panel's error estimate sits at its
+    floor, no bisection can lower the total, so the integral counts as
+    converged even if the floor exceeds the requested tolerance (an
+    integrand whose positive and negative parts cancel, for example).
+    """
+    (val, err, floor), = yield [(lo, hi)]
+    panels = [(lo, hi, val, err, floor)]
     evaluations = len(_NODES)
     splits = 0
     while True:
         total = sum(p[2] for p in panels)
         total_err = sum(p[3] for p in panels)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+        total_floor = sum(p[4] for p in panels)
+        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total),
+                            total_floor):
             break
         if splits >= spec.max_subdivisions:
             break
         # worst panel first; ties resolved by left endpoint for determinism
         worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        plo, phi, pval, perr = panels.pop(worst)
+        plo, phi, pval, perr, pfloor = panels.pop(worst)
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:
             # not splittable in double precision; give up on this panel
-            panels.append((plo, phi, pval, perr))
+            panels.append((plo, phi, pval, perr, pfloor))
             break
         left, right = yield [(plo, mid), (mid, phi)]
         panels.append((plo, mid, *left))
@@ -190,20 +204,23 @@ def _finite(lo: float, hi: float, spec: QuadratureSpec):
     panels.sort(key=lambda p: p[0])
     value = 0.0
     error = 0.0
-    for _, _, pval, perr in panels:
+    floor = 0.0
+    for _, _, pval, perr, pfloor in panels:
         value += pval
         error += perr
+        floor += pfloor
     # derive convergence from the assembled sums so the advertised
-    # invariant (error <= max(abs_tol, rel_tol * |value|) on success)
-    # holds exactly as reported
-    converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
-    return QuadratureResult(value, error, evaluations, converged)
+    # invariant (error <= max(abs_tol, rel_tol * |value|, floor) on
+    # success) holds exactly as reported
+    converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value), floor)
+    return QuadratureResult(value, error, evaluations, converged), floor
 
 
 def _semi_infinite(spec: QuadratureSpec):
     """Task for :func:`_lockstep`: one integral over [0, inf)."""
     value = 0.0
     error = 0.0
+    floor = 0.0
     evaluations = 0
     panels_ok = True
     tail_bound = None
@@ -217,9 +234,10 @@ def _semi_infinite(spec: QuadratureSpec):
     stop_tol = spec.abs_tol / 4.0
     for _ in range(spec.max_subdivisions):
         hi = lo + width
-        part = yield from _finite(lo, hi, panel_spec)
+        part, part_floor = yield from _finite(lo, hi, panel_spec)
         value += part.value
         error += part.error_estimate
+        floor += part_floor
         evaluations += part.evaluations
         panels_ok = panels_ok and part.converged
         contrib = abs(part.value)
@@ -238,8 +256,10 @@ def _semi_infinite(spec: QuadratureSpec):
         width *= 2.0
     if tail_bound is not None:
         error += tail_bound
+        floor += tail_bound
     converged = (panels_ok and tail_bound is not None
-                 and error <= max(spec.abs_tol, spec.rel_tol * abs(value)))
+                 and error <= max(spec.abs_tol, spec.rel_tol * abs(value),
+                                  floor))
     return QuadratureResult(value, error, evaluations, converged)
 
 
@@ -255,7 +275,9 @@ def integrate_finite(f, lo: float, hi: float,
         Finite integration bounds, lo < hi.
     spec : QuadratureSpec
         Tolerances; convergence means the summed panel error estimate is
-        below ``max(abs_tol, rel_tol * |value|)``.
+        below ``max(abs_tol, rel_tol * |value|)``, or has fallen to the
+        rounding floor ``50 eps * integral of |f|`` that bisection
+        cannot lower (as when the integral cancels to about zero).
 
     Returns
     -------
@@ -267,7 +289,8 @@ def integrate_finite(f, lo: float, hi: float,
         raise ValueError("bounds must be finite")
     if not lo < hi:
         raise ValueError("require lo < hi")
-    return _lockstep(_single(f), [_finite(lo, hi, spec)])[0]
+    result, _ = _lockstep(_single(f), [_finite(lo, hi, spec)])[0]
+    return result
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coaxcasimir import (
     QuadratureSpec,
@@ -202,6 +202,7 @@ def test_shape_mismatch_raises():
     scale=st.floats(min_value=0.1, max_value=10.0),
     shift=st.floats(min_value=-5.0, max_value=5.0),
 )
+@example(scale=9.0, shift=-5.0)  # the integral cancels to zero
 def test_affine_exactness(scale, shift):
     """Affine integrands are integrated essentially exactly."""
     lo, hi = shift, shift + scale
@@ -209,6 +210,16 @@ def test_affine_exactness(scale, shift):
     exact = (hi**2 + hi) - (lo**2 + lo)
     assert result.converged
     assert result.value == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
+
+def test_cancelling_integral_stops_at_rounding_floor():
+    """An integral of about zero cannot meet rel_tol * |value|; once the
+    error estimate is at its rounding floor it converges without
+    spending the bisection budget."""
+    result = integrate_finite(lambda x: 2.0 * x + 1.0, -5.0, 4.0)
+    assert result.converged
+    assert result.evaluations == 15
+    assert abs(result.value) <= result.error_estimate < 1e-12
 
 
 @given(decay=st.floats(min_value=0.05, max_value=20.0))
