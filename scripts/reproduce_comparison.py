@@ -26,8 +26,8 @@ from coaxcasimir import (
 def sweep_rows(alphas, numerics):
     rows = []
     for alpha in alphas:
-        energy = interaction_energy(alpha, numerics)
         pressure = pressure_inner(alpha, numerics)
+        energy = pressure.energy_result
         prox_e = proximity_energy(alpha, 0.5)
         prox_p = proximity_pressure(alpha, 0.5)
         disc = abs(pressure.value - prox_p) / abs(pressure.value)

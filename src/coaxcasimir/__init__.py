@@ -45,10 +45,12 @@ from .exact import (
     interaction_energy_double_integral,
     interaction_energy_si,
     log_mode_factor,
+    log_mode_factor_dalpha,
     pressure_inner,
     pressure_inner_si,
 )
 from .quadrature import (
+    NonFiniteIntegrandError,
     QuadratureResult,
     QuadratureSpec,
     integrate_finite,
@@ -60,6 +62,7 @@ from .specfun import (
     log_dirichlet_ratio,
     log_neumann_ratio,
     reflection_ratio_logs,
+    reflection_ratio_logs_dalpha,
     scaled_modified_bessel,
 )
 
@@ -76,6 +79,7 @@ __all__ = [
     "EccentricGeometry",
     "EnergyResult",
     "ExponentFit",
+    "NonFiniteIntegrandError",
     "NumericsConfig",
     "Orbit",
     "PressureResult",
@@ -101,6 +105,7 @@ __all__ = [
     "interaction_energy_si",
     "log_dirichlet_ratio",
     "log_mode_factor",
+    "log_mode_factor_dalpha",
     "log_neumann_ratio",
     "parallel_plate_energy_density",
     "pressure_inner",
@@ -109,6 +114,7 @@ __all__ = [
     "proximity_energy_derivative",
     "proximity_pressure",
     "reflection_ratio_logs",
+    "reflection_ratio_logs_dalpha",
     "scaled_modified_bessel",
     "semiclassical_energy",
 ]

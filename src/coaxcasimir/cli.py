@@ -17,8 +17,9 @@ sorted, no timestamps are embedded, and files are written atomically
 (temp file + rename) so an invalid invocation never leaves a partial
 output behind.
 
-Exit codes: 0 success; 2 usage or domain error; 3 numerical
-non-convergence (results are still emitted, flagged per row).
+Exit codes: 0 success; 2 usage or domain error; 3 numerical failure:
+non-convergence (results are still emitted, flagged per row) or an
+integrand that returned a non-finite value (a JSON ``error`` only).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -57,7 +59,7 @@ from .exact import (
     interaction_energy,
     pressure_inner,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import NonFiniteIntegrandError, QuadratureSpec
 
 __all__ = ["main", "entrypoint"]
 
@@ -148,43 +150,47 @@ def _resolve(args, config: dict, name: str, default):
     return default
 
 
-_NUMERICS_KEYS = {"rel_tol", "abs_tol", "max_subdivisions", "order_tol",
-                  "order_cap", "fd_step"}
+_QUAD_FIELDS = ("rel_tol", "abs_tol", "max_subdivisions")
+_ORDER_FIELDS = ("order_tol", "order_cap")
+_NUMERICS_KEYS = set(_QUAD_FIELDS + _ORDER_FIELDS)
+
+
+def _field_values(obj, names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _add_field_flags(parser, obj, names) -> None:
+    """One ``--name`` flag per named field of ``obj``, typed like it."""
+    for name, default in _field_values(obj, names).items():
+        parser.add_argument("--" + name.replace("_", "-"),
+                            type=type(default), dest=name)
 
 
 def _add_numerics_flags(parser) -> None:
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol")
-    parser.add_argument("--abs-tol", type=float, dest="abs_tol")
-    parser.add_argument("--max-subdivisions", type=int,
-                        dest="max_subdivisions")
-    parser.add_argument("--order-tol", type=float, dest="order_tol")
-    parser.add_argument("--order-cap", type=int, dest="order_cap")
-    parser.add_argument("--fd-step", type=float, dest="fd_step")
+    _add_field_flags(parser, QuadratureSpec(), _QUAD_FIELDS)
+    _add_field_flags(parser, NumericsConfig(), _ORDER_FIELDS)
+
+
+def _resolve_fields(args, config: dict, obj, names):
+    """``obj`` with each named field taken from flag, config or default."""
+    return replace(obj, **{
+        name: type(default)(_resolve(args, config, name, default))
+        for name, default in _field_values(obj, names).items()
+    })
+
+
+def _quad_spec(args, config: dict) -> QuadratureSpec:
+    return _resolve_fields(args, config, QuadratureSpec(), _QUAD_FIELDS)
 
 
 def _numerics(args, config: dict) -> NumericsConfig:
-    quad = QuadratureSpec(
-        rel_tol=float(_resolve(args, config, "rel_tol", 1e-9)),
-        abs_tol=float(_resolve(args, config, "abs_tol", 1e-14)),
-        max_subdivisions=int(_resolve(args, config, "max_subdivisions", 200)),
-    )
-    return NumericsConfig(
-        quad=quad,
-        order_tol=float(_resolve(args, config, "order_tol", 1e-10)),
-        order_cap=int(_resolve(args, config, "order_cap", 2000)),
-        fd_step=float(_resolve(args, config, "fd_step", 1e-4)),
-    )
+    cfg = _resolve_fields(args, config, NumericsConfig(), _ORDER_FIELDS)
+    return replace(cfg, quad=_quad_spec(args, config))
 
 
 def _numerics_echo(cfg: NumericsConfig) -> dict:
-    return {
-        "rel_tol": cfg.quad.rel_tol,
-        "abs_tol": cfg.quad.abs_tol,
-        "max_subdivisions": cfg.quad.max_subdivisions,
-        "order_tol": cfg.order_tol,
-        "order_cap": cfg.order_cap,
-        "fd_step": cfg.fd_step,
-    }
+    return {**_field_values(cfg.quad, _QUAD_FIELDS),
+            **_field_values(cfg, _ORDER_FIELDS)}
 
 
 def _parse_quantities(raw: str):
@@ -237,26 +243,25 @@ def _sweep_row(alpha: float, names=(), prox_exponent=None,
     """One sweep grid point; must stay a top-level function (pickled)."""
     row: dict = {"alpha": alpha, "status": "ok"}
     ok = True
-    energy = None
-    if {"energy", "total"} & set(names) or (
-            "discrepancy" in names and "pressure" not in names):
-        energy = interaction_energy(alpha, cfg)
-        ok = ok and energy.converged
-        if "energy" in names:
-            row["interaction_energy"] = energy.value
-            row["interaction_energy_err"] = (
-                energy.quad_error + energy.truncation_error
-            )
-        if "total" in names:
-            row["total_energy"] = (
-                energy.value - SELF_ENERGY_COEFF * (1.0 + alpha**-2)
-            )
-    pressure = None
+    energy = pressure = None
     if "pressure" in names:
         pressure = pressure_inner(alpha, cfg)
-        ok = ok and pressure.converged
+        energy = pressure.energy_result
+        ok = pressure.converged
         row["pressure"] = pressure.value
-        row["pressure_err"] = pressure.fd_disagreement
+        row["pressure_err"] = pressure.error
+    elif {"energy", "total", "discrepancy"} & set(names):
+        energy = interaction_energy(alpha, cfg)
+        ok = energy.converged
+    if "energy" in names:
+        row["interaction_energy"] = energy.value
+        row["interaction_energy_err"] = (
+            energy.quad_error + energy.truncation_error
+        )
+    if "total" in names:
+        row["total_energy"] = (
+            energy.value - SELF_ENERGY_COEFF * (1.0 + alpha**-2)
+        )
     if "proximity" in names:
         tag = repr(float(prox_exponent))
         row[f"proximity_energy_p{tag}"] = proximity_energy(
@@ -432,8 +437,7 @@ def _cmd_fit_p(args) -> int:
 
 
 _ECC_KEYS = {"inner_radius", "outer_radius", "length", "offset_fractions",
-             "mass", "angular_frequency", "rel_tol", "abs_tol",
-             "max_subdivisions", "format"}
+             "mass", "angular_frequency", "format", *_QUAD_FIELDS}
 
 
 def _cmd_eccentric(args) -> int:
@@ -473,11 +477,7 @@ def _cmd_eccentric(args) -> int:
             resonator = ResonatorParams(float(mass), float(omega))
         except ValueError as exc:
             return _fail(str(exc), _EXIT_USAGE)
-    spec = QuadratureSpec(
-        rel_tol=float(_resolve(args, config, "rel_tol", 1e-9)),
-        abs_tol=float(_resolve(args, config, "abs_tol", 1e-14)),
-        max_subdivisions=int(_resolve(args, config, "max_subdivisions", 200)),
-    )
+    spec = _quad_spec(args, config)
     base = ConcentricGeometry(inner, outer, length)
     gap = outer - inner
     rows = []
@@ -659,10 +659,7 @@ def _build_parser() -> _CliParser:
     p_ecc.add_argument("--angular-frequency", type=float,
                        dest="angular_frequency")
     p_ecc.add_argument("--format", choices=["csv", "json"])
-    p_ecc.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p_ecc.add_argument("--abs-tol", type=float, dest="abs_tol")
-    p_ecc.add_argument("--max-subdivisions", type=int,
-                       dest="max_subdivisions")
+    _add_field_flags(p_ecc, QuadratureSpec(), _QUAD_FIELDS)
     p_ecc.set_defaults(func=_cmd_eccentric)
 
     p_orbits = sub.add_parser("orbits", help="closed-path catalog")
@@ -693,6 +690,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except _UsageError as exc:
         return _fail(str(exc), _EXIT_USAGE)
+    except NonFiniteIntegrandError as exc:
+        return _fail(str(exc), _EXIT_NUMERICAL)
     except ValueError as exc:
         return _fail(str(exc), _EXIT_USAGE)
 

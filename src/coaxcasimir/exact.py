@@ -40,6 +40,25 @@ dimensionless with :math:`2\pi a^4 / \hbar c`, reads
 .. math::
 
     \hat p(\alpha) = 2 \hat e(\alpha) + \alpha\, \hat e\,'(\alpha).
+
+The derivative is taken in closed form under the integral, not by finite
+differences: only the Bessel functions at :math:`\alpha y` depend on
+alpha, and the reflection log-ratios' alpha-derivatives follow from the
+same four Bessel logs the energy uses
+(:func:`~.specfun.reflection_ratio_logs_dalpha`).  So
+
+.. math::
+
+    \hat e\,'(\alpha) = \frac{1}{4\pi} \sum_{n=-\infty}^{\infty}
+        \int_0^\infty y \, \partial_\alpha \ln M_n(y, \alpha)\, dy ,
+    \qquad
+    \partial_\alpha \ln M_n = \frac{e^{D_n} \partial_\alpha D_n}
+        {e^{D_n} - 1} + \frac{e^{N_n} \partial_\alpha N_n}{e^{N_n} - 1},
+
+is a second mode sum with the same quadrature, panel scale and stopping
+rule as the energy, and the pressure's error bound is
+:math:`2\,\delta\hat e + \alpha\,\delta\hat e\,'`, each
+:math:`\delta` the quadrature plus angular-truncation error of its sum.
 """
 
 from __future__ import annotations
@@ -55,7 +74,8 @@ from .quadrature import (
     integrate_semi_infinite,
     integrate_semi_infinite_batch,
 )
-from .specfun import reflection_ratio_logs
+from .approx import _validate_ratio as _check_ratio
+from .specfun import reflection_ratio_logs, reflection_ratio_logs_dalpha
 
 __all__ = [
     "HBAR_C",
@@ -65,6 +85,7 @@ __all__ = [
     "EnergyResult",
     "PressureResult",
     "log_mode_factor",
+    "log_mode_factor_dalpha",
     "interaction_energy",
     "interaction_energy_double_integral",
     "casimir_energy",
@@ -103,27 +124,25 @@ class ConcentricGeometry:
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Knobs for the mode sum and its derivatives.
+    """Knobs for the mode sums.
 
     ``order_tol`` stops the angular sum once two consecutive orders each
     contribute less than ``order_tol`` of the accumulated total;
     ``order_cap`` is the hard ceiling (hitting it sets a flag on the
-    result instead of raising).  ``fd_step`` is the central-difference
-    step in alpha used by the pressure.
+    result instead of raising).  The same knobs drive the energy sum and
+    the pressure's alpha-derivative sum: the derivative is analytic, so
+    it needs no step of its own.
     """
 
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     order_tol: float = 1e-10
     order_cap: int = 2000
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if not 0.0 < self.order_tol < 1.0:
             raise ValueError("order_tol must lie in (0, 1)")
         if self.order_cap < 2:
             raise ValueError("order_cap must be at least 2")
-        if not 0.0 < self.fd_step < 0.1:
-            raise ValueError("fd_step must lie in (0, 0.1)")
 
 
 DEFAULT_NUMERICS = NumericsConfig()
@@ -141,7 +160,9 @@ ORACLE_NUMERICS = NumericsConfig(
 class EnergyResult:
     """Mode-sum energy with per-order breakdown and error accounting.
 
-    ``value`` is dimensionless (units hbar c L / a^2) and negative.
+    ``value`` is dimensionless (units hbar c L / a^2) and negative.  The
+    pressure's alpha-derivative sum reports in the same record, with a
+    positive ``value`` in the same units.
     ``per_order`` holds (n, contribution) with the n >= 1 entries already
     carrying their double multiplicity, so the contributions sum to
     ``value``.  ``truncation_error`` is a geometric bound on the dropped
@@ -164,20 +185,36 @@ class EnergyResult:
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Dimensionless pressure with finite-difference diagnostics."""
+    """Dimensionless pressure with the two mode sums it came from.
+
+    ``value`` is ``2 e + alpha e'``; ``error`` bounds it by
+    ``2 (quad + truncation)_e + alpha (quad + truncation)_e'``.
+    ``energy_result`` is the energy sum, identical to
+    :func:`interaction_energy` at the same ratio and numerics, and
+    ``derivative_result`` the sum for e'.
+    """
 
     value: float
-    energy: float
-    energy_derivative: float
-    fd_disagreement: float
-    fd_consistent: bool
-    converged: bool
+    error: float
+    energy_result: EnergyResult
+    derivative_result: EnergyResult
+
+    @property
+    def energy(self) -> float:
+        return self.energy_result.value
+
+    @property
+    def energy_derivative(self) -> float:
+        return self.derivative_result.value
+
+    @property
+    def converged(self) -> bool:
+        return (self.energy_result.converged
+                and self.derivative_result.converged)
 
 
 def _validate_ratio(ratio: float) -> float:
-    ratio = float(ratio)
-    if not math.isfinite(ratio) or ratio <= 1.0:
-        raise ValueError("radius ratio must be finite and > 1")
+    ratio = _check_ratio(ratio)
     if ratio - 1.0 < 1e-3:
         warnings.warn(
             "radius ratio within 1e-3 of unity: quadrature panel widths "
@@ -215,6 +252,22 @@ def log_mode_factor(n: int, y, ratio: float):
     scalar = np.isscalar(y) or getattr(y, "ndim", 0) == 0
     lrd, lrn = reflection_ratio_logs(n, np.atleast_1d(y), ratio)
     out = _log1mexp(np.asarray(lrd)) + _log1mexp(np.asarray(lrn))
+    return float(out[0]) if scalar else out
+
+
+def log_mode_factor_dalpha(n: int, y, ratio: float):
+    """Closed-form alpha-derivative of :func:`log_mode_factor`.
+
+    Positive: the mode factor tends to 1 as the shell recedes.  Each
+    polarization contributes ``e^t t' / (e^t - 1)`` for its log-ratio
+    ``t < 0``, written with ``expm1`` so it stays accurate as ``t -> 0-``
+    and underflows quietly to 0 as ``t -> -inf``.
+    """
+    scalar = np.isscalar(y) or getattr(y, "ndim", 0) == 0
+    lrd, lrn, d_lrd, d_lrn = reflection_ratio_logs_dalpha(
+        n, np.atleast_1d(y), ratio)
+    out = (np.exp(lrd) * d_lrd / np.expm1(lrd)
+           + np.exp(lrn) * d_lrn / np.expm1(lrn))
     return float(out[0]) if scalar else out
 
 
@@ -295,12 +348,21 @@ def interaction_energy(ratio: float,
     EnergyResult
     """
     ratio = _validate_ratio(ratio)
+    return _mode_sum(log_mode_factor, ratio, cfg)
+
+
+def _mode_sum(factor, ratio: float, cfg: NumericsConfig) -> EnergyResult:
+    """``sum_n integral_0^inf y factor(n, y, alpha) dy / (4 pi)``.
+
+    The leading panel width is the decay scale ``1/(alpha - 1)``; ``ratio``
+    must already be validated.
+    """
     qspec = replace(cfg.quad, tail_cut=1.0 / (ratio - 1.0))
     inv_4pi = 1.0 / (4.0 * math.pi)
 
     def term(n: int):
         part = integrate_semi_infinite(
-            lambda y: y * log_mode_factor(n, y, ratio), qspec
+            lambda y: y * factor(n, y, ratio), qspec
         )
         return replace(part,
                        value=part.value * inv_4pi,
@@ -396,34 +458,23 @@ def pressure_inner(ratio: float,
     Positive values push the inner surface outward (attraction toward
     the shell).  Multiply by ``HBAR_C / (2 pi a^4)`` for pascals.
 
-    The alpha-derivative is a Richardson pair of central differences
-    (steps h and h/2, ``h = cfg.fd_step`` capped at (alpha-1)/10); the
-    two estimates' spread is reported, and ``fd_consistent`` is False
-    when it exceeds ten times the expected O(h^2) scale, which signals
-    that quadrature noise, not truncation, dominates the derivative.
+    Two mode sums: the energy, exactly as :func:`interaction_energy`
+    computes it, and e' from the closed-form alpha-derivative of the
+    mode factor (:func:`log_mode_factor_dalpha`) through the same
+    quadrature and stopping rule.  ``error`` is the bound
+    ``2 (quad + truncation)_e + alpha (quad + truncation)_e'``, and the
+    result converged when both sums did.
     """
     ratio = _validate_ratio(ratio)
-    h = min(cfg.fd_step, (ratio - 1.0) / 10.0)
-    center = interaction_energy(ratio, cfg)
-    results = {}
-    for d in (-h, -0.5 * h, 0.5 * h, h):
-        results[d] = interaction_energy(ratio + d, cfg)
-    d_h = (results[h].value - results[-h].value) / (2.0 * h)
-    d_h2 = (results[0.5 * h].value - results[-0.5 * h].value) / h
-    derivative = (4.0 * d_h2 - d_h) / 3.0
-    spread = abs(d_h - d_h2)
-    noise_floor = 4.0 * (center.quad_error + center.truncation_error) / h
-    expected = max(h * h * abs(derivative), noise_floor, 1e-300)
-    fd_consistent = spread <= 10.0 * expected
-    value = 2.0 * center.value + ratio * derivative
-    converged = center.converged and all(r.converged for r in results.values())
+    energy = interaction_energy(ratio, cfg)
+    derivative = _mode_sum(log_mode_factor_dalpha, ratio, cfg)
     return PressureResult(
-        value=value,
-        energy=center.value,
-        energy_derivative=derivative,
-        fd_disagreement=spread,
-        fd_consistent=fd_consistent,
-        converged=converged and fd_consistent,
+        value=2.0 * energy.value + ratio * derivative.value,
+        error=float(2.0 * (energy.quad_error + energy.truncation_error)
+                    + ratio * (derivative.quad_error
+                               + derivative.truncation_error)),
+        energy_result=energy,
+        derivative_result=derivative,
     )
 
 

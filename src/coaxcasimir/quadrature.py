@@ -34,6 +34,7 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
+    "NonFiniteIntegrandError",
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_semi_infinite_batch",
@@ -61,6 +62,10 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WEIGHTS_G = np.zeros_like(_NODES)
 _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+
+
+class NonFiniteIntegrandError(ValueError):
+    """The integrand returned NaN or an infinity: a numerical failure."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,7 @@ def _lockstep(f, tasks) -> list:
             raise ValueError("integrand must return one value per abscissa")
         bad = ~np.isfinite(fx)
         if np.any(bad):
-            raise ValueError(
+            raise NonFiniteIntegrandError(
                 f"integrand returned a non-finite value at x={x[bad][0]!r}"
             )
         estimates = iter([_estimate(row, a, b) for row, (a, b)

@@ -54,6 +54,7 @@ __all__ = [
     "log_dirichlet_ratio",
     "log_neumann_ratio",
     "reflection_ratio_logs",
+    "reflection_ratio_logs_dalpha",
 ]
 
 # Largest order handled by the scipy backend.  Above this the uniform
@@ -327,6 +328,16 @@ def scaled_modified_bessel(n: int, x: float) -> ScaledBesselPair:
     )
 
 
+def _ratio_logs(n: int, y: np.ndarray, ratio: float):
+    """Both log-ratios for a 1-d ``y``, and the four logs at ``ratio * y``."""
+    m = len(y)
+    li, lk, lip, lkp = _pair_logs(abs(int(n)), np.concatenate((y, ratio * y)))
+    damping = -2.0 * y * (ratio - 1.0)
+    lrd = damping + (li[:m] - li[m:]) + (lk[m:] - lk[:m])
+    lrn = damping + (lip[:m] - lip[m:]) + (lkp[m:] - lkp[:m])
+    return lrd, lrn, (li[m:], lk[m:], lip[m:], lkp[m:])
+
+
 def reflection_ratio_logs(n: int, y, ratio: float):
     """Both round-trip reflection log-ratios at once (vectorized in y).
 
@@ -336,14 +347,43 @@ def reflection_ratio_logs(n: int, y, ratio: float):
     at each argument are shared between the two ratios.
     """
     y, ratio, scalar = _validate_ratio_args(n, y, ratio)
-    m = len(y)
-    li, lk, lip, lkp = _pair_logs(abs(int(n)), np.concatenate((y, ratio * y)))
-    damping = -2.0 * y * (ratio - 1.0)
-    lrd = damping + (li[:m] - li[m:]) + (lk[m:] - lk[:m])
-    lrn = damping + (lip[:m] - lip[m:]) + (lkp[m:] - lkp[:m])
+    lrd, lrn, _ = _ratio_logs(n, y, ratio)
     if scalar:
         return lrd.item(), lrn.item()
     return lrd, lrn
+
+
+def reflection_ratio_logs_dalpha(n: int, y, ratio: float):
+    r"""Both log-ratios and their derivatives in the radius ratio alpha.
+
+    Returns ``(log_dirichlet, log_neumann, d_log_dirichlet,
+    d_log_neumann)`` as arrays matching ``y``, from the same single kernel
+    call as :func:`reflection_ratio_logs`.  Only the functions at
+    :math:`x = \alpha y` depend on alpha, so
+
+    .. math::
+
+        \partial_\alpha D_n = y \Big[\frac{K_n'}{K_n}
+            - \frac{I_n'}{I_n}\Big](x), \qquad
+        \partial_\alpha N_n = y \Big[\frac{K_n''}{K_n'}
+            - \frac{I_n''}{I_n'}\Big](x)
+        = -y \Big(1 + \frac{n^2}{x^2}\Big)
+            \Big[\frac{K_n}{|K_n'|} + \frac{I_n}{I_n'}\Big](x),
+
+    the second through :math:`f'' = (1 + n^2/x^2) f - f'/x` (DLMF
+    10.25.1), whose :math:`f'/x` terms cancel.  The scaling factors
+    :math:`e^{\mp x}` cancel in each quotient, so the quotients come
+    straight from differences of the scaled logs.  Both derivatives are
+    negative.
+    """
+    y, ratio, scalar = _validate_ratio_args(n, y, ratio)
+    lrd, lrn, (li, lk, lip, lkp) = _ratio_logs(n, y, ratio)
+    x = ratio * y
+    d_lrd = -y * (np.exp(lkp - lk) + np.exp(lip - li))
+    d_lrn = -y * (1.0 + (n / x) ** 2) * (np.exp(lk - lkp) + np.exp(li - lip))
+    if scalar:
+        return lrd.item(), lrn.item(), d_lrd.item(), d_lrn.item()
+    return lrd, lrn, d_lrd, d_lrn
 
 
 def log_dirichlet_ratio(n: int, y, ratio: float):

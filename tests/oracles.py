@@ -92,6 +92,11 @@ def log_mode_factor(n, y, ratio):
     )
 
 
+def log_mode_factor_dalpha(n, y, ratio):
+    """d/d(ratio) of ln M_n by mpmath's numerical differentiation."""
+    return mp.diff(lambda r: log_mode_factor(n, y, r), mp.mpf(ratio))
+
+
 def order_term(n, ratio):
     """T_n = integral_0^inf y ln M_n(y) dy by tanh-sinh quadrature."""
     cut = 1 / (mp.mpf(ratio) - 1)
@@ -216,6 +221,12 @@ def main():
     print("# mode factor logs")
     show("log_mode_factor(0, 1, 2)", log_mode_factor(0, 1, 2))
     show("log_mode_factor(3, 2.5, 1.3)", log_mode_factor(3, 2.5, 1.3))
+
+    print("# alpha-derivatives of mode factor logs")
+    for n, y, ratio in ((0, "0.5", 2), (1, 3, "1.5"), (40, 20, "1.2"),
+                        (41, 20, "1.2"), (200, 150, "1.1")):
+        show(f"log_mode_factor_dalpha({n}, {y}, {ratio})",
+             log_mode_factor_dalpha(n, mp.mpf(y), mp.mpf(ratio)))
 
     print("# eccentric theta integrals at a=1, b=1.1, offset=0.05")
     e_int, f_int = eccentric_integrals(1, "1.1", "0.05")

@@ -17,10 +17,13 @@ from coaxcasimir import (
     SELF_ENERGY_COEFF,
     ConcentricGeometry,
     EccentricGeometry,
+    NonFiniteIntegrandError,
+    NumericsConfig,
     ResonatorParams,
     frequency_shift,
     interaction_energy,
 )
+from coaxcasimir import cli
 from coaxcasimir.cli import main
 
 
@@ -85,6 +88,30 @@ def test_energy_matches_library_bitwise(capsys):
     assert payload["converged"] is True
     assert payload["order_max"] == expected.order_max
     assert payload["meta"]["numerics"]["order_tol"] == 1e-10
+
+
+def test_energy_echoes_dataclass_defaults(capsys):
+    code, payload = run_json(capsys, "energy", "--alpha", "2.0")
+    assert code == 0
+    cfg = NumericsConfig()
+    assert payload["meta"]["numerics"] == {
+        "rel_tol": cfg.quad.rel_tol,
+        "abs_tol": cfg.quad.abs_tol,
+        "max_subdivisions": cfg.quad.max_subdivisions,
+        "order_tol": cfg.order_tol,
+        "order_cap": cfg.order_cap,
+    }
+
+
+def test_non_finite_integrand_exits_numerical(capsys, monkeypatch):
+    def blow_up(alpha, cfg):
+        raise NonFiniteIntegrandError(
+            "integrand returned a non-finite value at x=1.0")
+
+    monkeypatch.setattr(cli, "interaction_energy", blow_up)
+    code, payload = run_json(capsys, "energy", "--alpha", "2.0")
+    assert code == 3
+    assert "non-finite" in payload["error"]
 
 
 def test_energy_per_order_breakdown(capsys):
@@ -209,6 +236,16 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
                              "--workers", "1")
     assert code == 2
     assert "alpha_mx" in payload["error"]
+
+
+def test_fd_step_config_key_is_rejected(capsys, tmp_path):
+    """The pressure's derivative is analytic; there is no step to set."""
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"fd_step": 1e-4}), encoding="utf-8")
+    code, payload = run_json(capsys, "energy", "--alpha", "2.0",
+                             "--config", str(config))
+    assert code == 2
+    assert "fd_step" in payload["error"]
 
 
 def test_sweep_output_is_byte_deterministic(capsys, tmp_path):

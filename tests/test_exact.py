@@ -24,6 +24,7 @@ from coaxcasimir import (
     interaction_energy_double_integral,
     interaction_energy_si,
     log_mode_factor,
+    log_mode_factor_dalpha,
     pressure_inner,
     pressure_inner_si,
 )
@@ -39,6 +40,14 @@ PRESSURE_AT_4 = 0.008561170521398551
 # oracle pins: single mode-factor logs
 LOG_MODE_0_1_2 = -0.248975183921648380683
 LOG_MODE_3_25_13 = -0.240073285367943288479
+# oracle pins: alpha-derivatives of mode-factor logs, (n, y, alpha) -> value
+LOG_MODE_DALPHA = {
+    (0, 0.5, 2.0): 0.8733770425596390274199,
+    (1, 3.0, 1.5): 0.563714838367344894892,
+    (40, 20.0, 1.2): 9.229081158519675440679e-6,
+    (41, 20.0, 1.2): 6.821316088902891739354e-6,
+    (200, 150.0, 1.1): 8.015171968649209347548e-19,
+}
 
 
 @pytest.mark.parametrize(
@@ -63,8 +72,39 @@ def test_interaction_energy_matches_oracle(ratio, expected, rel):
 def test_pressure_matches_oracle(ratio, expected, rel):
     result = pressure_inner(ratio)
     assert result.converged
-    assert result.fd_consistent
+    assert math.isfinite(result.error)
+    assert result.error < 1e-6 * abs(result.value)
     assert result.value == pytest.approx(expected, rel=rel)
+
+
+@pytest.mark.parametrize("key", sorted(LOG_MODE_DALPHA))
+def test_log_mode_factor_dalpha_matches_oracle(key):
+    """Both Bessel regimes: orders up to 40 via SciPy, above via Debye."""
+    n, y, ratio = key
+    assert log_mode_factor_dalpha(n, y, ratio) == pytest.approx(
+        LOG_MODE_DALPHA[key], rel=1e-10
+    )
+
+
+@pytest.mark.parametrize("ratio", [1.5, 2.0, 4.0])
+def test_energy_derivative_matches_finite_differences(ratio):
+    """The closed-form e' sum against a Richardson pair of central
+    differences of the energy (steps h and h/2)."""
+    h = 1e-4
+
+    def central(step):
+        up = interaction_energy(ratio + step).value
+        down = interaction_energy(ratio - step).value
+        return (up - down) / (2.0 * step)
+
+    richardson = (4.0 * central(0.5 * h) - central(h)) / 3.0
+    assert pressure_inner(ratio).energy_derivative == pytest.approx(
+        richardson, rel=1e-8
+    )
+
+
+def test_pressure_reuses_the_energy_sum():
+    assert pressure_inner(2.0).energy_result == interaction_energy(2.0)
 
 
 def test_log_mode_factor_matches_oracle():
@@ -169,7 +209,8 @@ def test_pressure_carries_energy_diagnostics():
     assert result.value == pytest.approx(
         2.0 * result.energy + 2.0 * result.energy_derivative, rel=1e-12
     )
-    assert result.fd_disagreement >= 0.0
+    assert math.isfinite(result.error)
+    assert result.error < 1e-6 * abs(result.value)
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -2.0, math.nan, math.inf])
@@ -195,8 +236,6 @@ def test_numerics_validation():
         NumericsConfig(order_tol=0.0)
     with pytest.raises(ValueError):
         NumericsConfig(order_cap=1)
-    with pytest.raises(ValueError):
-        NumericsConfig(fd_step=0.5)
     with pytest.raises(ValueError):
         NumericsConfig(quad=QuadratureSpec(rel_tol=-1.0))
 
