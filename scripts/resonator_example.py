@@ -37,7 +37,7 @@ def main() -> None:
     print(f"{'offset/gap':>10}  {'F_numeric [N]':>22}  {'F_closed [N]':>22}  {'rel diff':>10}")
     for fraction in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
         geometry = EccentricGeometry(base, fraction * gap)
-        f_num = eccentric_force_numeric(geometry)
+        f_num = eccentric_force_numeric(geometry).value
         f_closed = eccentric_force_closed_form(geometry)
         if f_closed == 0.0:
             rel = abs(f_num - f_closed)

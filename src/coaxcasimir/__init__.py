@@ -59,8 +59,6 @@ from .quadrature import (
 )
 from .specfun import (
     ScaledBesselPair,
-    log_dirichlet_ratio,
-    log_neumann_ratio,
     reflection_ratio_logs,
     reflection_ratio_logs_dalpha,
     scaled_modified_bessel,
@@ -103,10 +101,8 @@ __all__ = [
     "interaction_energy",
     "interaction_energy_double_integral",
     "interaction_energy_si",
-    "log_dirichlet_ratio",
     "log_mode_factor",
     "log_mode_factor_dalpha",
-    "log_neumann_ratio",
     "parallel_plate_energy_density",
     "pressure_inner",
     "pressure_inner_si",

@@ -18,8 +18,9 @@ sorted, no timestamps are embedded, and files are written atomically
 output behind.
 
 Exit codes: 0 success; 2 usage or domain error; 3 numerical failure:
-non-convergence (results are still emitted, flagged per row) or an
-integrand that returned a non-finite value (a JSON ``error`` only).
+non-convergence (results are still emitted, flagged per row), or an
+integrand that returned a non-finite value or a Bessel value that left
+the double range (a JSON ``error`` only).
 """
 
 from __future__ import annotations
@@ -481,10 +482,10 @@ def _cmd_eccentric(args) -> int:
     base = ConcentricGeometry(inner, outer, length)
     gap = outer - inner
     rows = []
-    failed = False
     for fraction in fractions:
         geom = EccentricGeometry(base, fraction * gap)
-        numeric = eccentric_force_numeric(geom, spec)
+        force = eccentric_force_numeric(geom, spec)
+        numeric = force.value
         closed = eccentric_force_closed_form(geom)
         if closed == 0.0 and numeric == 0.0:
             rel_diff = 0.0
@@ -500,11 +501,13 @@ def _cmd_eccentric(args) -> int:
         }
         if resonator is not None:
             row["freq_shift"] = frequency_shift(geom, resonator)
+        row["status"] = "ok" if force.converged else "unconverged"
         rows.append(row)
     columns = ["offset_fraction", "force_numeric", "force_closed_form",
                "rel_diff"]
     if resonator is not None:
         columns.append("freq_shift")
+    columns.append("status")
     if fmt == "csv":
         text = _csv_text(columns, rows)
     else:
@@ -518,7 +521,9 @@ def _cmd_eccentric(args) -> int:
         }
         text = _json_text({"meta": meta, "rows": rows})
     _emit(text, args.out)
-    return _EXIT_NUMERICAL if failed else 0
+    if any(row["status"] != "ok" for row in rows):
+        return _EXIT_NUMERICAL
+    return 0
 
 
 _ORBITS_KEYS = {"alpha", "length_cap", "max_bounces", "format"}
@@ -690,7 +695,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _UsageError as exc:
         return _fail(str(exc), _EXIT_USAGE)
-    except NonFiniteIntegrandError as exc:
+    except (NonFiniteIntegrandError, OverflowError) as exc:
         return _fail(str(exc), _EXIT_NUMERICAL)
     except ValueError as exc:
         return _fail(str(exc), _EXIT_USAGE)

@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exact import HBAR_C, ConcentricGeometry
-from .quadrature import QuadratureSpec, integrate_finite
+from .quadrature import QuadratureResult, QuadratureSpec, integrate_finite
 
 __all__ = [
     "EccentricGeometry",
@@ -211,25 +211,29 @@ def eccentric_energy(geom: EccentricGeometry,
 
 
 def eccentric_force_numeric(geom: EccentricGeometry,
-                            spec: QuadratureSpec = QuadratureSpec()) -> float:
+                            spec: QuadratureSpec = QuadratureSpec()
+                            ) -> QuadratureResult:
     """Force along the offset direction, in newtons (positive = apart).
 
     Minus the offset-derivative of :func:`eccentric_energy`, with the
     derivative taken inside the integral in closed form and the single
-    remaining θ-integral done numerically.  At zero offset the integrand
-    is proportional to sin θ over a full period, so the force is
-    returned as exactly 0.0 without quadrature.
+    remaining θ-integral done numerically.  Returns that integral's
+    record scaled to newtons: ``value`` is the force, ``error_estimate``
+    its bound, and ``converged`` says whether the quadrature met its
+    tolerance.  At zero offset the integrand is proportional to sin θ
+    over a full period, so the force is exactly 0.0, without quadrature.
     """
     a = geom.base.inner_radius
     b = geom.base.outer_radius
     if geom.axis_offset == 0.0:
-        return 0.0
+        return QuadratureResult(0.0, 0.0, 0, True)
     _warn_near_contact(a, b, geom.axis_offset)
     part = _force_integral(a, b, geom.axis_offset, spec)
     if not part.converged:
         warnings.warn("gap quadrature did not converge", stacklevel=2)
     coeff = math.pi**2 * HBAR_C * geom.base.length / 720.0
-    return coeff * part.value
+    return replace(part, value=coeff * part.value,
+                   error_estimate=coeff * part.error_estimate)
 
 
 def force_scale(geom: EccentricGeometry) -> float:

@@ -63,6 +63,9 @@ _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WEIGHTS_G = np.zeros_like(_NODES)
 _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
+# A Python float, so that the floor and the errors built on it are too.
+_EPS = float(np.finfo(float).eps)
+
 
 class NonFiniteIntegrandError(ValueError):
     """The integrand returned NaN or an infinity: a numerical failure."""
@@ -120,7 +123,7 @@ def _estimate(fx: np.ndarray, lo: float, hi: float):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     resabs = abs(half) * float(np.abs(fx) @ _WEIGHTS_K)
-    floor = 50.0 * np.finfo(float).eps * resabs
+    floor = 50.0 * _EPS * resabs
     return kron, max(err, floor), floor
 
 

@@ -34,6 +34,13 @@ argument array from one kernel call:
   :math:`u_k` and :math:`v_k`) carried to eighth order in ``1/n``,
   evaluated directly in log space from one shared phase.
 
+The order is either one integer or an int array matching the argument
+array, one order per point, so a single call serves a block of angular
+orders.  Each point then takes the regime of its own order, and its
+arithmetic is exactly that of a one-order call: the Debye series rows and
+constants are formed once per distinct order and gathered per point, and
+``ive``/``kve`` take the order array as it is.
+
 Derivatives are never taken by finite differences.  The two regimes agree
 in their overlap window to better than 1e-12 relative, which the
 test-suite checks explicitly (the contract is 1e-10).
@@ -48,11 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
+from .approx import _validate_ratio
+
 __all__ = [
     "ScaledBesselPair",
     "scaled_modified_bessel",
-    "log_dirichlet_ratio",
-    "log_neumann_ratio",
     "reflection_ratio_logs",
     "reflection_ratio_logs_dalpha",
 ]
@@ -133,27 +140,34 @@ _SERIES_BASIS = _series_basis()
 
 
 @functools.lru_cache(maxsize=4096)
-def _series_coefficients(n: int) -> np.ndarray:
-    """The order-n rows of ``_series_basis``: sum_k B[k] / n**k."""
-    inv = 1.0 / float(n)
+def _debye_constants(n: int):
+    """The order-n series rows, sum_k B[k] / n**k, and the ln i, ln k constants."""
+    nu = float(n)
+    inv = 1.0 / nu
     coeffs = sum(_SERIES_BASIS[k] * inv**k
                  for k in range(1, len(_SERIES_BASIS)))
     coeffs.flags.writeable = False   # shared by every caller through the cache
-    return coeffs
+    return (coeffs, -0.5 * math.log(2.0 * math.pi * nu),
+            0.5 * math.log(math.pi / (2.0 * nu)))
 
 
-def _validate_order_argument(n: int, x) -> np.ndarray:
-    if n != int(n):
-        raise ValueError(f"order must be an integer, got {n!r}")
+def _validate_order_argument(n, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
+    if np.ndim(n) == 0:
+        if n != int(n):
+            raise ValueError(f"order must be an integer, got {n!r}")
+    elif np.asarray(n).dtype.kind not in "iu" or np.shape(n) != x.shape:
+        raise ValueError("an order array must hold integers and match the "
+                         "argument's shape")
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("argument must be finite and strictly positive")
     return x
 
 
-def _log_ik_debye(n: int, x: np.ndarray):
+def _log_ik_debye(n, x: np.ndarray):
     r"""(ln i_n, ln k_n, ln i_n', ln |k_n'|) from the uniform expansions.
 
+    ``n`` is one order or an int array of orders matching ``x``.
     With :math:`z = x/n`, :math:`t = (1+z^2)^{-1/2}` and the phase
     :math:`\eta = \sqrt{1+z^2} + \ln(z / (1 + \sqrt{1+z^2}))`,
 
@@ -170,15 +184,31 @@ def _log_ik_debye(n: int, x: np.ndarray):
     :math:`\tfrac12 \ln(\pi/2n)` as constant.  The combination
     :math:`\eta - z` is formed once, from ``1/(hypot(1,z)+z) -
     asinh(1/z)`` to avoid cancellation at large ``z``; all four series
-    are evaluated together by one Horner pass in :math:`t^2`.
+    are evaluated together by one Horner pass in :math:`t^2`.  An order
+    array has its series rows and constants formed once per distinct
+    order and gathered per point, so each point's arithmetic is that of
+    its order alone.
     """
-    nu = float(n)
+    if np.ndim(n) == 0:
+        nu = float(n)
+        coeffs, c_i, c_k = _debye_constants(n)
+        coeffs = coeffs.reshape((4, -1) + (1,) * x.ndim)
+    else:
+        # the distinct orders and each point's index among them, unsorted
+        offset = n - n.min()
+        present = np.bincount(offset.ravel()) > 0
+        where = (np.cumsum(present) - 1)[offset]
+        distinct = np.flatnonzero(present) + n.min()
+        rows, c_i, c_k = zip(*map(_debye_constants, distinct.tolist()))
+        nu = n.astype(float)
+        coeffs = np.stack(rows, axis=-1)[..., where]
+        c_i = np.array(c_i)[where]
+        c_k = np.array(c_k)[where]
     z = x / nu
     hyp = np.hypot(1.0, z)
     t = 1.0 / hyp
     s = t * t
     lead = nu * (1.0 / (hyp + z) - np.arcsinh(1.0 / z))
-    coeffs = _series_coefficients(n).reshape((4, -1) + (1,) * x.ndim)
     acc = coeffs[:, 0]
     for c in coeffs[:, 1:].swapaxes(0, 1):
         acc = acc * s + c
@@ -186,8 +216,6 @@ def _log_ik_debye(n: int, x: np.ndarray):
     log_plus = np.log1p(even + odd)      # I and I' series
     log_minus = np.log1p(even - odd)     # K and K' series
     quarter = 0.25 * np.log1p(z * z)
-    c_i = -0.5 * math.log(2.0 * math.pi * nu)
-    c_k = 0.5 * math.log(math.pi / (2.0 * nu))
     log_i = lead - quarter + c_i + log_plus[0]
     log_k = -lead - quarter + c_k + log_minus[0]
     prime = quarter - np.log(z)
@@ -196,30 +224,49 @@ def _log_ik_debye(n: int, x: np.ndarray):
     return log_i, log_k, log_iprime, log_kprime
 
 
-def _log_ik_scipy(n: int, x: np.ndarray):
-    """(ln i_n, ln k_n, ln i_n', ln |k_n'|) from one ive and one kve call."""
-    shape = (2,) + (1,) * x.ndim
-    iv = _sp.ive(np.reshape((n, n + 1), shape), x)
-    kv = _sp.kve(np.reshape((abs(n - 1), n), shape), x)
+def _log_ik_scipy(n, x: np.ndarray):
+    """(ln i_n, ln k_n, ln i_n', ln |k_n'|) from one ive and one kve call.
+
+    ``n`` is one order or an int array of orders matching ``x``.
+    """
+    def stacked(a, b):
+        pair = np.stack((a, b))
+        return pair.reshape(pair.shape + (1,) * (x.ndim + 1 - pair.ndim))
+
+    iv = _sp.ive(stacked(n, n + 1), x)
+    kv = _sp.kve(stacked(abs(n - 1), n), x)
     n_over_x = n / x
     kprime = kv[0] + n_over_x * kv[1]
     if np.any(iv <= 0.0) or not np.all(np.isfinite(kprime)):
+        bad = (iv <= 0.0).any(axis=0) | ~np.isfinite(kprime)
         raise OverflowError(
-            f"scaled Bessel pair left the double range at order {n}"
+            "scaled Bessel pair left the double range at order "
+            f"{np.broadcast_to(n, x.shape)[bad].max()}"
         )
     return (np.log(iv[0]), np.log(kv[1]),
             np.log(iv[1] + n_over_x * iv[0]), np.log(kprime))
 
 
-def _pair_logs(n: int, x: np.ndarray, regime_order: int | None = None):
-    """Return (log i_n, log k_n, log i_n', log |k_n'|) at order n >= 0.
+def _pair_logs(n, x: np.ndarray, regime_order: int | None = None):
+    """Return (log i_n, log k_n, log i_n', log |k_n'|) at orders n >= 0.
 
-    The regime is that of ``regime_order`` (default: ``n`` itself).
+    ``n`` is one order or an int array matching ``x``; each point takes
+    the regime of its order, or that of the scalar ``regime_order``.
     """
     sel = n if regime_order is None else regime_order
-    if sel <= _SCIPY_ORDER_MAX:
+    if np.ndim(sel) == 0:
+        if sel <= _SCIPY_ORDER_MAX:
+            return _log_ik_scipy(n, x)
+        return _log_ik_debye(n, x)
+    small = sel <= _SCIPY_ORDER_MAX
+    if small.all():
         return _log_ik_scipy(n, x)
-    return _log_ik_debye(n, x)
+    if not small.any():
+        return _log_ik_debye(n, x)
+    logs = np.empty((4,) + x.shape)
+    logs[:, small] = _log_ik_scipy(n[small], x[small])
+    logs[:, ~small] = _log_ik_debye(n[~small], x[~small])
+    return tuple(logs)
 
 
 def _log_ik(n: int, x: np.ndarray, *, regime_order: int | None = None):
@@ -328,20 +375,33 @@ def scaled_modified_bessel(n: int, x: float) -> ScaledBesselPair:
     )
 
 
-def _ratio_logs(n: int, y: np.ndarray, ratio: float):
+def _ratio_logs(n, y: np.ndarray, ratio: float):
     """Both log-ratios for a 1-d ``y``, and the four logs at ``ratio * y``."""
     m = len(y)
-    li, lk, lip, lkp = _pair_logs(abs(int(n)), np.concatenate((y, ratio * y)))
+    orders = abs(int(n)) if np.ndim(n) == 0 else np.tile(np.abs(n), 2)
+    li, lk, lip, lkp = _pair_logs(orders, np.concatenate((y, ratio * y)))
     damping = -2.0 * y * (ratio - 1.0)
     lrd = damping + (li[:m] - li[m:]) + (lk[m:] - lk[:m])
     lrn = damping + (lip[:m] - lip[m:]) + (lkp[m:] - lkp[:m])
     return lrd, lrn, (li[m:], lk[m:], lip[m:], lkp[m:])
 
 
-def reflection_ratio_logs(n: int, y, ratio: float):
-    """Both round-trip reflection log-ratios at once (vectorized in y).
+def reflection_ratio_logs(n, y, ratio: float):
+    r"""Both round-trip reflection log-ratios at once (vectorized in y).
 
-    Returns ``(log_dirichlet, log_neumann)`` as arrays matching ``y``.
+    Returns ``(log_dirichlet, log_neumann)`` as arrays matching ``y``:
+
+    .. math::
+
+        D_n = -2 y (\alpha - 1)
+            + \ln \frac{i_n(y)\, k_n(\alpha y)}{i_n(\alpha y)\, k_n(y)},
+
+    and :math:`N_n` the same with every function replaced by its
+    derivative (the two sign flips of :math:`K'` cancel).  Both are
+    strictly negative and decay linearly in y, so neither overflows.
+    ``n`` is one angular order (its sign is irrelevant) or an int array
+    of orders matching ``y``, one per abscissa.
+
     This is the fast path for energy integrands: the arguments ``y`` and
     ``ratio * y`` go to the Bessel kernel as one array, and its four logs
     at each argument are shared between the two ratios.
@@ -353,7 +413,7 @@ def reflection_ratio_logs(n: int, y, ratio: float):
     return lrd, lrn
 
 
-def reflection_ratio_logs_dalpha(n: int, y, ratio: float):
+def reflection_ratio_logs_dalpha(n, y, ratio: float):
     r"""Both log-ratios and their derivatives in the radius ratio alpha.
 
     Returns ``(log_dirichlet, log_neumann, d_log_dirichlet,
@@ -386,53 +446,8 @@ def reflection_ratio_logs_dalpha(n: int, y, ratio: float):
     return lrd, lrn, d_lrd, d_lrn
 
 
-def log_dirichlet_ratio(n: int, y, ratio: float):
-    r"""Log of the Dirichlet round-trip reflection ratio.
-
-    This is :math:`\ln [ I_n(y) K_n(\alpha y) / ( I_n(\alpha y) K_n(y) ) ]`
-    for radius ratio :math:`\alpha > 1`, evaluated in log space as
-
-    .. math::
-
-        -2 y (\alpha - 1)
-        + \ln \frac{i_n(y)\, k_n(\alpha y)}{i_n(\alpha y)\, k_n(y)} .
-
-    It is strictly negative (the annulus mode condition pins it below
-    zero) and decays linearly in y, so the result never overflows for any
-    y up to at least 1e4.
-
-    Parameters
-    ----------
-    n : int
-        Angular order (negative orders fold onto positive).
-    y : float or ndarray
-        Radial argument(s) scaled by the inner radius, > 0.
-    ratio : float
-        Outer/inner radius ratio, > 1.
-
-    Returns
-    -------
-    float or ndarray
-    """
-    return reflection_ratio_logs(n, y, ratio)[0]
-
-
-def log_neumann_ratio(n: int, y, ratio: float):
-    r"""Log of the Neumann round-trip reflection ratio.
-
-    Same as :func:`log_dirichlet_ratio` with every Bessel function
-    replaced by its derivative,
-    :math:`\ln [ I_n'(y) K_n'(\alpha y) / ( I_n'(\alpha y) K_n'(y) ) ]`.
-    The two sign flips of :math:`K'` cancel, the ratio is positive, and
-    its log is again strictly negative.  At n = 0 this coincides with the
-    Dirichlet ratio of the order-1 functions (I_0' = I_1, K_0' = -K_1).
-    """
-    return reflection_ratio_logs(n, y, ratio)[1]
-
-
 def _validate_ratio_args(n, y, ratio):
-    if not (isinstance(ratio, (int, float)) and math.isfinite(ratio)) or ratio <= 1.0:
-        raise ValueError("radius ratio must be finite and > 1")
+    ratio = _validate_ratio(ratio)
     scalar = np.isscalar(y) or getattr(y, "ndim", 0) == 0
     ya = _validate_order_argument(n, y)
-    return np.atleast_1d(ya), float(ratio), scalar
+    return np.atleast_1d(ya), ratio, scalar

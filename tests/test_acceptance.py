@@ -231,7 +231,7 @@ def test_eccentric_force_suite():
     gap = 0.05
 
     # exactly zero at zero offset
-    assert eccentric_force_numeric(EccentricGeometry(base, 0.0)) == 0.0
+    assert eccentric_force_numeric(EccentricGeometry(base, 0.0)).value == 0.0
 
     # closed form is linear with unit slope at small offset
     tiny = EccentricGeometry(base, 1e-4 * gap)
@@ -243,7 +243,7 @@ def test_eccentric_force_suite():
     # the numeric route reproduces the unit slope as the gap closes
     thin_base = ConcentricGeometry(1.0, 1.01, 1.0)
     probe = EccentricGeometry(thin_base, 0.01 * 0.01)
-    numeric_ratio = eccentric_force_numeric(probe) / (
+    numeric_ratio = eccentric_force_numeric(probe).value / (
         force_scale(probe) * probe.offset_fraction
     )
     assert numeric_ratio == pytest.approx(1.0, abs=0.01)
@@ -272,7 +272,7 @@ def test_eccentric_routes_agree_and_tighten_toward_contact_limit():
         residuals = []
         for fraction in (0.1, 0.2, 0.3, 0.4, 0.5):
             geom = EccentricGeometry(base, fraction * gap)
-            numeric = eccentric_force_numeric(geom)
+            numeric = eccentric_force_numeric(geom).value
             closed = eccentric_force_closed_form(geom)
             residuals.append(abs(numeric - closed) / abs(closed))
         return max(residuals)

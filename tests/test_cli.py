@@ -23,7 +23,7 @@ from coaxcasimir import (
     frequency_shift,
     interaction_energy,
 )
-from coaxcasimir import cli
+from coaxcasimir import cli, specfun
 from coaxcasimir.cli import main
 
 
@@ -114,6 +114,17 @@ def test_non_finite_integrand_exits_numerical(capsys, monkeypatch):
     assert "non-finite" in payload["error"]
 
 
+def test_bessel_overflow_exits_numerical(capsys, monkeypatch):
+    def overflow(n, x):
+        raise OverflowError(
+            f"scaled Bessel pair left the double range at order {n}")
+
+    monkeypatch.setattr(specfun, "_log_ik_scipy", overflow)
+    code, payload = run_json(capsys, "energy", "--alpha", "2.0")
+    assert code == 3
+    assert "double range" in payload["error"]
+
+
 def test_energy_per_order_breakdown(capsys):
     code, payload = run_json(
         capsys, "energy", "--alpha", "2.5", "--per-order"
@@ -155,6 +166,16 @@ def test_sweep_csv_structure(capsys, tmp_path):
     assert float(first[0]) == 1.5
     assert float(first[1]) == interaction_energy(1.5).value
     assert first[-1] == "ok"
+
+
+def test_sweep_cells_are_plain_numbers(capsys):
+    code, out = run_cli(
+        capsys, "sweep", "--alpha-min", "1.1", "--alpha-max", "1.5",
+        "--steps", "2", "--quantities", "energy", "--workers", "1",
+    )
+    assert code == 0
+    cells = [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+    assert cells and not [cell for cell in cells if "np." in cell]
 
 
 def test_sweep_json_carries_meta(capsys):
@@ -274,7 +295,22 @@ def test_eccentric_force_table(capsys):
     forces = [row["force_numeric"] for row in rows]
     assert forces == sorted(forces)
     assert all(row["rel_diff"] < 0.1 for row in rows[1:])
+    assert all(row["status"] == "ok" for row in rows)
     assert "freq_shift" not in rows[0]
+
+
+@pytest.mark.filterwarnings("ignore:gap quadrature did not converge")
+def test_eccentric_non_convergence_exits_numerical(capsys):
+    code, out = run_cli(
+        capsys, "eccentric", "--inner-radius", "1", "--outer-radius", "1.05",
+        "--offset-fractions", "0,0.9", "--max-subdivisions", "1",
+    )
+    assert code == 3
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert header[-1] == "status"
+    assert [row[-1] for row in rows] == ["ok", "unconverged"]
+    # the force is still reported, as the converged table would give it
+    assert float(rows[1][header.index("force_numeric")]) > 0.0
 
 
 def test_eccentric_with_resonator_adds_shift_column(capsys):

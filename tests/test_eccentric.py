@@ -55,12 +55,13 @@ def test_energy_carries_proximity_prefactor():
 def test_force_carries_positive_prefactor():
     geom = EccentricGeometry(BASE, 0.05)
     expected = math.pi**2 * HBAR_C * 1.0 / 720.0 * FORCE_INTEGRAL_PIN
-    assert eccentric_force_numeric(geom) == pytest.approx(expected, rel=1e-10)
-    assert eccentric_force_numeric(geom) > 0.0  # pushes the axes apart
+    assert eccentric_force_numeric(geom).value == pytest.approx(
+        expected, rel=1e-10)
+    assert eccentric_force_numeric(geom).value > 0.0  # pushes the axes apart
 
 
 def test_zero_offset_force_is_exactly_zero():
-    assert eccentric_force_numeric(EccentricGeometry(BASE, 0.0)) == 0.0
+    assert eccentric_force_numeric(EccentricGeometry(BASE, 0.0)).value == 0.0
     assert eccentric_force_closed_form(EccentricGeometry(BASE, 0.0)) == 0.0
 
 
@@ -93,7 +94,7 @@ def test_force_equals_minus_energy_gradient(fraction):
         eccentric_energy(EccentricGeometry(base, offset + h))
         - eccentric_energy(EccentricGeometry(base, offset - h))
     ) / (2.0 * h)
-    force = eccentric_force_numeric(EccentricGeometry(base, offset))
+    force = eccentric_force_numeric(EccentricGeometry(base, offset)).value
     assert force == pytest.approx(-de, rel=1e-6)
 
 
@@ -198,4 +199,4 @@ def test_resonator_validation():
 def test_numeric_force_positive_for_any_offset(fraction):
     geom = EccentricGeometry(ConcentricGeometry(1.0, 1.05, 1.0),
                              fraction * 0.05)
-    assert eccentric_force_numeric(geom) > 0.0
+    assert eccentric_force_numeric(geom).value > 0.0

@@ -6,11 +6,13 @@ took the ``--slow`` path of that script.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coaxcasimir import exact
 from coaxcasimir import (
     DEFAULT_NUMERICS,
     HBAR_C,
@@ -23,6 +25,7 @@ from coaxcasimir import (
     interaction_energy,
     interaction_energy_double_integral,
     interaction_energy_si,
+    integrate_semi_infinite,
     log_mode_factor,
     log_mode_factor_dalpha,
     pressure_inner,
@@ -192,6 +195,42 @@ def test_si_conversions_scale_correctly():
     )
     # the reduced value depends on the ratio alone
     assert interaction_energy(geom.ratio).value == hat_e
+
+
+@pytest.mark.parametrize("factor, mode_sum", [
+    (log_mode_factor, interaction_energy),
+    (log_mode_factor_dalpha, lambda r: pressure_inner(r).derivative_result),
+])
+def test_order_blocks_equal_one_order_integrals(factor, mode_sum):
+    """Each order of a block is, bit for bit, its own integral."""
+    ratio = 1.1
+    per_order = dict(mode_sum(ratio).per_order)
+    spec = replace(DEFAULT_NUMERICS.quad, tail_cut=1.0 / (ratio - 1.0))
+    for n in (0, 1, 40, 41, 126):
+        alone = integrate_semi_infinite(
+            lambda y: y * factor(n, y, ratio), spec)
+        weight = 1.0 if n == 0 else 2.0
+        assert per_order[n] == weight * (alone.value * (1.0 / (4.0 * math.pi)))
+
+
+def test_near_contact_sum_counts_only_the_orders_it_uses():
+    result = interaction_energy(1.01)
+    assert result.order_max == 1079
+    assert result.evaluations == 230_370
+
+
+def test_order_cap_bounds_every_block(monkeypatch):
+    seen = []
+
+    def recording(n, y, ratio):
+        seen.append(int(np.max(n)))
+        return log_mode_factor(n, y, ratio)
+
+    monkeypatch.setattr(exact, "log_mode_factor", recording)
+    result = interaction_energy(1.1, NumericsConfig(order_cap=5))
+    assert result.order_max == 5
+    assert result.order_capped
+    assert max(seen) == 5
 
 
 def test_energy_result_reports_capped_order_sum():

@@ -19,9 +19,9 @@ from coaxcasimir.specfun import (
     _log_ik,
     _log_ik_debye,
     _log_ik_scipy,
-    log_dirichlet_ratio,
-    log_neumann_ratio,
+    _pair_logs,
     reflection_ratio_logs,
+    reflection_ratio_logs_dalpha,
     scaled_modified_bessel,
 )
 
@@ -179,13 +179,13 @@ def test_large_argument_asymptotics():
 
 
 def test_reflection_log_ratios_match_oracle():
-    assert log_dirichlet_ratio(0, 1.0, 2.0) == pytest.approx(
+    assert reflection_ratio_logs(0, 1.0, 2.0)[0] == pytest.approx(
         LOG_DIRICHLET_0_1_2, rel=1e-13
     )
-    assert log_neumann_ratio(0, 1.0, 2.0) == pytest.approx(
+    assert reflection_ratio_logs(0, 1.0, 2.0)[1] == pytest.approx(
         LOG_NEUMANN_0_1_2, rel=1e-13
     )
-    assert log_neumann_ratio(1, 1.0, 2.0) == pytest.approx(
+    assert reflection_ratio_logs(1, 1.0, 2.0)[1] == pytest.approx(
         LOG_NEUMANN_1_1_2, rel=1e-13
     )
 
@@ -197,8 +197,8 @@ def test_reflection_log_ratios_match_oracle():
 def test_order_zero_neumann_equals_order_one_dirichlet(ly, ratio):
     """I_0' = I_1 and K_0' = -K_1 make the two ratios coincide."""
     y = 10.0**ly
-    assert log_neumann_ratio(0, y, ratio) == pytest.approx(
-        log_dirichlet_ratio(1, y, ratio), rel=1e-12
+    assert reflection_ratio_logs(0, y, ratio)[1] == pytest.approx(
+        reflection_ratio_logs(1, y, ratio)[0], rel=1e-12
     )
 
 
@@ -219,8 +219,41 @@ def test_vectorized_ratios_match_scalar_routes():
     y = np.array([0.1, 1.0, 3.0, 17.0])
     for n in (0, 2, 55):
         lrd, lrn = reflection_ratio_logs(n, y, 1.7)
-        np.testing.assert_array_equal(lrd, log_dirichlet_ratio(n, y, 1.7))
-        np.testing.assert_array_equal(lrn, log_neumann_ratio(n, y, 1.7))
+        one_by_one = [reflection_ratio_logs(n, value, 1.7) for value in y]
+        np.testing.assert_array_equal(lrd, [d for d, _ in one_by_one])
+        np.testing.assert_array_equal(lrn, [r for _, r in one_by_one])
+
+
+# a block of orders straddling the regime seam, each at several arguments
+SEAM_ORDERS = np.repeat(np.arange(36, 46), 5)
+SEAM_ARGS = np.geomspace(0.5, 900.0, SEAM_ORDERS.size)
+
+
+@pytest.mark.parametrize("kernel", [_log_ik_scipy, _log_ik_debye, _pair_logs])
+def test_order_array_kernels_equal_one_order_calls(kernel):
+    """An order per point gives, bit for bit, each order's own call."""
+    got = kernel(SEAM_ORDERS, SEAM_ARGS)
+    for j, (n, x) in enumerate(zip(SEAM_ORDERS.tolist(), SEAM_ARGS)):
+        alone = kernel(n, SEAM_ARGS[j:j + 1])
+        for log_value, expected in zip(got, alone):
+            assert log_value[j] == expected[0], (kernel.__name__, n, x)
+
+
+def test_order_array_ratios_equal_one_order_calls():
+    """Mixed-regime ratio blocks, and their alpha-derivatives, are exact."""
+    got = reflection_ratio_logs_dalpha(SEAM_ORDERS, SEAM_ARGS, 1.3)
+    for n in np.unique(SEAM_ORDERS).tolist():
+        mine = SEAM_ORDERS == n
+        alone = reflection_ratio_logs_dalpha(n, SEAM_ARGS[mine], 1.3)
+        for log_value, expected in zip(got, alone):
+            np.testing.assert_array_equal(log_value[mine], expected)
+
+
+def test_order_array_must_hold_integers_matching_the_argument():
+    with pytest.raises(ValueError):
+        reflection_ratio_logs(np.array([1.5, 2.0]), np.array([1.0, 2.0]), 2.0)
+    with pytest.raises(ValueError):
+        reflection_ratio_logs(np.array([1, 2, 3]), np.array([1.0, 2.0]), 2.0)
 
 
 def test_unscaled_accessors_raise_outside_double_range():
@@ -242,6 +275,6 @@ def test_domain_errors_on_order_and_ratio():
     with pytest.raises(ValueError):
         scaled_modified_bessel(2.5, 1.0)
     with pytest.raises(ValueError):
-        log_dirichlet_ratio(2, 1.0, 1.0)
+        reflection_ratio_logs(2, 1.0, 1.0)
     with pytest.raises(ValueError):
-        log_neumann_ratio(2, -1.0, 2.0)
+        reflection_ratio_logs(2, -1.0, 2.0)
