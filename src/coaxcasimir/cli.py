@@ -302,6 +302,17 @@ def _alpha_grid(alpha_min: float, alpha_max: float, steps: int,
     return [float(a) for a in grid]
 
 
+def _alpha_range_problem(alpha_min: float, alpha_max: float) -> str | None:
+    """The usage error in an alpha range, checked before any grid is built."""
+    if not (math.isfinite(alpha_min) and alpha_min > 1.0):
+        return "alpha must exceed 1"
+    if not math.isfinite(alpha_max):
+        return "alpha_max must be finite"
+    if not alpha_min < alpha_max:
+        return "alpha_min must be below alpha_max"
+    return None
+
+
 def _cmd_energy(args) -> int:
     config = _load_config(args.config, _NUMERICS_KEYS | {"alpha"})
     alpha = _resolve(args, config, "alpha", None)
@@ -347,10 +358,9 @@ def _cmd_sweep(args) -> int:
                              "energy,pressure,proximity:0.5,discrepancy"))
     workers = int(_resolve(args, config, "workers", os.cpu_count() or 1))
     fmt = str(_resolve(args, config, "format", "csv"))
-    if not (math.isfinite(alpha_min) and alpha_min > 1.0):
-        return _fail("alpha must exceed 1", _EXIT_USAGE)
-    if not alpha_min < alpha_max:
-        return _fail("alpha_min must be below alpha_max", _EXIT_USAGE)
+    problem = _alpha_range_problem(alpha_min, alpha_max)
+    if problem:
+        return _fail(problem, _EXIT_USAGE)
     if steps < 2:
         return _fail("steps must be at least 2", _EXIT_USAGE)
     if fmt not in ("csv", "json"):
@@ -395,10 +405,9 @@ def _cmd_fit_p(args) -> int:
     steps = int(_resolve(args, config, "steps", 4))
     mode = str(_resolve(args, config, "mode", "energy"))
     workers = int(_resolve(args, config, "workers", os.cpu_count() or 1))
-    if not (math.isfinite(alpha_min) and alpha_min > 1.0):
-        return _fail("alpha must exceed 1", _EXIT_USAGE)
-    if not alpha_min < alpha_max:
-        return _fail("alpha_min must be below alpha_max", _EXIT_USAGE)
+    problem = _alpha_range_problem(alpha_min, alpha_max)
+    if problem:
+        return _fail(problem, _EXIT_USAGE)
     if steps < 1:
         return _fail("steps must be at least 1", _EXIT_USAGE)
     if mode not in ("energy", "pressure"):

@@ -404,11 +404,14 @@ def _mode_sum(factor, ratio: float, cfg: NumericsConfig) -> EnergyResult:
 
 
 def _mode_factor_dy(n: int, y: np.ndarray, ratio: float) -> np.ndarray:
-    """d/dy of ln M_n by central differences; step tied to y's scale."""
+    """d/dy of ln M_n by central differences; step tied to y's scale.
+
+    Both stencil points go to :func:`log_mode_factor` in one array; at
+    one order its arithmetic is elementwise, so this equals two calls.
+    """
     h = np.minimum(1e-5 * (1.0 + y), 0.5 * y)
-    up = log_mode_factor(n, y + h, ratio)
-    dn = log_mode_factor(n, y - h, ratio)
-    return (up - dn) / (2.0 * h)
+    both = log_mode_factor(n, np.concatenate((y + h, y - h)), ratio)
+    return (both[:len(y)] - both[len(y):]) / (2.0 * h)
 
 
 def interaction_energy_double_integral(

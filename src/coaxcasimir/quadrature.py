@@ -176,11 +176,11 @@ def _single(f):
 def _finite(lo: float, hi: float, spec: QuadratureSpec):
     """Task for :func:`_lockstep`: one adaptive integral over [lo, hi].
 
-    Returns the ``QuadratureResult`` and the summed rounding floor of
-    the final panels.  Once every panel's error estimate sits at its
-    floor, no bisection can lower the total, so the integral counts as
-    converged even if the floor exceeds the requested tolerance (an
-    integrand whose positive and negative parts cancel, for example).
+    Returns the ``QuadratureResult``.  Once every panel's error estimate
+    sits at its rounding floor, no bisection can lower the total, so the
+    integral counts as converged even if the floor exceeds the requested
+    tolerance (an integrand whose positive and negative parts cancel, for
+    example).
     """
     (val, err, floor), = yield [(lo, hi)]
     panels = [(lo, hi, val, err, floor)]
@@ -221,14 +221,13 @@ def _finite(lo: float, hi: float, spec: QuadratureSpec):
     # invariant (error <= max(abs_tol, rel_tol * |value|, floor) on
     # success) holds exactly as reported
     converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value), floor)
-    return QuadratureResult(value, error, evaluations, converged), floor
+    return QuadratureResult(value, error, evaluations, converged)
 
 
 def _semi_infinite(spec: QuadratureSpec):
     """Task for :func:`_lockstep`: one integral over [0, inf)."""
     value = 0.0
     error = 0.0
-    floor = 0.0
     evaluations = 0
     panels_ok = True
     tail_bound = None
@@ -242,10 +241,9 @@ def _semi_infinite(spec: QuadratureSpec):
     stop_tol = spec.abs_tol / 4.0
     for _ in range(spec.max_subdivisions):
         hi = lo + width
-        part, part_floor = yield from _finite(lo, hi, panel_spec)
+        part = yield from _finite(lo, hi, panel_spec)
         value += part.value
         error += part.error_estimate
-        floor += part_floor
         evaluations += part.evaluations
         panels_ok = panels_ok and part.converged
         contrib = abs(part.value)
@@ -264,10 +262,11 @@ def _semi_infinite(spec: QuadratureSpec):
         width *= 2.0
     if tail_bound is not None:
         error += tail_bound
-        floor += tail_bound
-    converged = (panels_ok and tail_bound is not None
-                 and error <= max(spec.abs_tol, spec.rel_tol * abs(value),
-                                  floor))
+    # Each converged panel's error is within the tolerance it met, so the
+    # total is within the sum of those tolerances plus the tail bound.  A
+    # test of the total against rel_tol * |value| would fail a sum that
+    # cancels, whose panels met tolerances relative to their own parts.
+    converged = panels_ok and tail_bound is not None
     return QuadratureResult(value, error, evaluations, converged)
 
 
@@ -297,8 +296,7 @@ def integrate_finite(f, lo: float, hi: float,
         raise ValueError("bounds must be finite")
     if not lo < hi:
         raise ValueError("require lo < hi")
-    result, _ = _lockstep(_single(f), [_finite(lo, hi, spec)])[0]
-    return result
+    return _lockstep(_single(f), [_finite(lo, hi, spec)])[0]
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
@@ -320,7 +318,9 @@ def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec()) -> Quadr
     -------
     QuadratureResult
         ``converged`` is False if the panel budget was exhausted before
-        the tail was bounded, or any panel failed to converge.
+        the tail was bounded, or any panel failed to converge.  Otherwise
+        the error is within the sum of the panels' tolerances plus the
+        tail bound, even when the panels cancel and the sum is near 0.
     """
     return _lockstep(_single(f), [_semi_infinite(spec)])[0]
 

@@ -204,13 +204,19 @@ def main():
         show(f"pair({n}, {x}).log_iprime", lip)
         show(f"pair({n}, {x}).log_kprime", lkp)
 
-    print("# large-order expansion logs at the extremes of t")
-    for n, x in ((1000, 1.0), (200, 100.0), (41, 1000.0)):
-        li, lk, lip, lkp = log_pair(n, x)
-        show(f"pair({n}, {x}).log_i", li)
-        show(f"pair({n}, {x}).log_k", lk)
-        show(f"pair({n}, {x}).log_iprime", lip)
-        show(f"pair({n}, {x}).log_kprime", lkp)
+    for label, cases in (
+        ("SciPy-regime logs at its highest order",
+         ((40, 0.01), (40, 1.0), (40, 300.0))),
+        ("large-order expansion logs at the extremes of t",
+         ((1000, 1.0), (200, 100.0), (41, 1000.0))),
+    ):
+        print(f"# {label}")
+        for n, x in cases:
+            li, lk, lip, lkp = log_pair(n, x)
+            show(f"pair({n}, {x}).log_i", li)
+            show(f"pair({n}, {x}).log_k", lk)
+            show(f"pair({n}, {x}).log_iprime", lip)
+            show(f"pair({n}, {x}).log_kprime", lkp)
 
     print("# reflection log-ratios")
     show("log_dirichlet(0, 1, 2)", log_dirichlet(0, 1, 2))

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,17 @@ def test_sweep_rejects_empty_quantities(capsys):
     )
     assert code == 2
     assert "quantit" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "fit-p"])
+@pytest.mark.parametrize("alpha_max", ["inf", "nan"])
+def test_non_finite_alpha_max_is_usage_error(capsys, command, alpha_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, command, "--alpha-max", alpha_max,
+                                 "--workers", "1")
+    assert code == 2
+    assert payload["error"] == "alpha_max must be finite"
 
 
 def test_sweep_rejects_unknown_quantity(capsys):

@@ -142,6 +142,16 @@ def test_double_integral_route_agrees():
     assert double.value == pytest.approx(reduced.value, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [0, 1, 14, 40, 41])
+def test_mode_factor_dy_one_call_equals_two_calls(n):
+    """Both stencil points in one kernel call give each point's value."""
+    y = np.geomspace(1e-2, 300.0, 97)
+    h = np.minimum(1e-5 * (1.0 + y), 0.5 * y)
+    two_calls = (log_mode_factor(n, y + h, 2.0)
+                 - log_mode_factor(n, y - h, 2.0)) / (2.0 * h)
+    np.testing.assert_array_equal(exact._mode_factor_dy(n, y, 2.0), two_calls)
+
+
 def test_per_order_contributions_sum_to_value():
     result = interaction_energy(2.0)
     total = math.fsum(contribution for _, contribution in result.per_order)

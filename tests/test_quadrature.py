@@ -222,6 +222,15 @@ def test_cancelling_integral_stops_at_rounding_floor():
     assert abs(result.value) <= result.error_estimate < 1e-12
 
 
+def test_cancelling_semi_infinite_integral_converges():
+    """integral_0^inf e^-x (1 - x) dx = 0: each doubling panel meets a
+    tolerance relative to its own part, so the cancelled sum converges
+    with an error within those tolerances."""
+    result = integrate_semi_infinite(lambda x: np.exp(-x) * (1.0 - x))
+    assert result.converged
+    assert abs(result.value) <= result.error_estimate < 1e-12
+
+
 @given(decay=st.floats(min_value=0.05, max_value=20.0))
 def test_exponential_tail_families(decay):
     """integral_0^inf e^(-d x) dx = 1/d across decay scales."""

@@ -6,11 +6,13 @@ at 30 digits, independent algorithms); see that module to regenerate.
 
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 from coaxcasimir.specfun import (
     _SCIPY_ORDER_MAX,
@@ -20,6 +22,7 @@ from coaxcasimir.specfun import (
     _log_ik_debye,
     _log_ik_scipy,
     _pair_logs,
+    _scaled_k_upward,
     reflection_ratio_logs,
     reflection_ratio_logs_dalpha,
     scaled_modified_bessel,
@@ -68,6 +71,28 @@ DEBYE_EXTREME_LOGS = {
         -2.386910060207966516788,
     ),
 }
+# oracle pins: (log i, log k, log i', log |k'|) at the SciPy regime's
+# highest order, where the K recurrence runs longest
+SCIPY_TOP_ORDER_LOGS = {
+    (40, 0.01): (
+        -322.26333376692276856,
+        317.8813071009793444636,
+        -313.9692840963329369392,
+        326.1753567731326531106,
+    ),
+    (40, 1.0): (
+        -139.0404298187179546511,
+        134.6580905866223628943,
+        -135.3512455772572739545,
+        138.3472904481719782979,
+    ),
+    (40, 300.0): (
+        -6.437570522895192153874,
+        0.03183129071242452119205,
+        -6.430385460039263663,
+        0.04226274702327950983645,
+    ),
+}
 LOG_DIRICHLET_0_1_2 = -1.895502989044699472182
 LOG_NEUMANN_0_1_2 = -2.494201815386752586208
 LOG_NEUMANN_1_1_2 = -2.466735238839884393738
@@ -110,6 +135,37 @@ def test_large_order_derivative_logs_match_oracle(n, x):
     got = (pair.log_i, pair.log_k, pair.log_iprime, pair.log_kprime)
     for value, expected in zip(got, DEBYE_EXTREME_LOGS[n, x]):
         assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, x", sorted(SCIPY_TOP_ORDER_LOGS))
+def test_scipy_regime_top_order_logs_match_oracle(n, x):
+    pair = scaled_modified_bessel(n, x)
+    got = (pair.log_i, pair.log_k, pair.log_iprime, pair.log_kprime)
+    for value, expected in zip(got, SCIPY_TOP_ORDER_LOGS[n, x]):
+        assert value == pytest.approx(expected, rel=1e-13)
+
+
+def test_k_recurrence_matches_scipy_kve():
+    """The upward recurrence from k0e/k1e against AMOS kve, both orders."""
+    x = np.geomspace(1e-2, 1e3, 200)
+    for n in range(_SCIPY_ORDER_MAX + 1):
+        k_below, k_n = _scaled_k_upward(n, x)
+        np.testing.assert_allclose(k_below, special.kve(abs(n - 1), x),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(k_n, special.kve(n, x), rtol=1e-13)
+
+
+def test_k_overflow_raises_without_warning():
+    """A K past the double range raises; a block's recurrence that
+    overflows above a point's own order leaves that point untouched."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="order 40"):
+            _log_ik_scipy(40, np.array([1e-8]))
+        block = _log_ik_scipy(np.array([1, 40]), np.array([1e-8, 1.0]))
+    for log_value, alone in zip(block, _log_ik_scipy(1, np.array([1e-8]))):
+        assert np.isfinite(log_value).all()
+        assert log_value[0] == alone[0]
 
 
 @pytest.mark.parametrize(
