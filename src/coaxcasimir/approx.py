@@ -295,6 +295,9 @@ def enumerate_orbits(ratio: float, length_cap: float,
     ratio = _validate_ratio(ratio)
     if not length_cap > 0.0:
         raise ValueError("length_cap must be positive")
+    if not math.isfinite(length_cap):
+        # the radial repeats below would never stop
+        raise ValueError("length_cap must be finite")
     if max_bounces < 2:
         raise ValueError("max_bounces must be at least 2")
     orbits = []

@@ -109,10 +109,12 @@ class ResonatorParams:
     angular_frequency: float
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
-        if not self.angular_frequency > 0.0:
-            raise ValueError("angular_frequency must be positive")
+        for name in ("mass", "angular_frequency"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
 
 def gap_radius(theta, outer_radius: float, offset: float):

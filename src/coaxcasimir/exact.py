@@ -114,7 +114,7 @@ SELF_ENERGY_COEFF = 0.01356
 
 @dataclass(frozen=True)
 class ConcentricGeometry:
-    """Inner radius, outer radius, and length, in consistent units."""
+    """Inner radius, outer radius, and length: finite, consistent units."""
 
     inner_radius: float
     outer_radius: float
@@ -125,6 +125,10 @@ class ConcentricGeometry:
             raise ValueError("require 0 < inner_radius < outer_radius")
         if not self.length > 0.0:
             raise ValueError("length must be positive")
+        # a finite outer radius bounds the inner one
+        if not (math.isfinite(self.outer_radius)
+                and math.isfinite(self.length)):
+            raise ValueError("radii and length must be finite")
 
     @property
     def ratio(self) -> float:

@@ -234,6 +234,12 @@ def test_orbit_validation():
         enumerate_orbits(2.0, 5.0, max_bounces=1)
 
 
+def test_orbit_cap_must_be_finite():
+    """An infinite cap would list radial repeats without end."""
+    with pytest.raises(ValueError, match="finite"):
+        enumerate_orbits(2.0, math.inf)
+
+
 @pytest.mark.parametrize("bad", [1.0, 0.3, math.nan])
 def test_proximity_domain_errors(bad):
     with pytest.raises(ValueError):

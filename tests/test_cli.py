@@ -7,6 +7,7 @@ parsed exactly as a shell consumer would see it.
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -433,3 +434,96 @@ def test_out_file_ends_with_single_newline(capsys, tmp_path):
     assert text.endswith("}\n")
     assert not text.endswith("\n\n")
     json.loads(text)
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "a-directory"],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, target):
+    (tmp_path / "a-directory").mkdir()
+    code, payload = run_json(capsys, "energy", "--alpha", "2",
+                             "--out", str(tmp_path / target))
+    assert code == 2
+    assert payload["error"].startswith("cannot write output: ")
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+_INTEGER_OPTIONS = [
+    ("sweep", "steps", "3", ["--alpha-min", "1.5", "--alpha-max", "2",
+                             "--quantities", "semiclassical",
+                             "--workers", "1"]),
+    ("energy", "max_subdivisions", "200", ["--alpha", "2"]),
+    ("orbits", "max_bounces", "8", ["--alpha", "2", "--length-cap", "6"]),
+]
+
+
+@pytest.mark.parametrize("command, key, integral, argv", _INTEGER_OPTIONS,
+                         ids=[key for _, key, _, _ in _INTEGER_OPTIONS])
+def test_integer_options_reject_non_integral_values(
+        capsys, tmp_path, command, key, integral, argv):
+    """Config values and flag strings pass the same integer conversion."""
+    config = tmp_path / "config.json"
+    rejected = (2, {"error": f"{key} must be an integer"})
+    for bad in (2.9, 2.5, True):
+        config.write_text(json.dumps({key: bad}), encoding="utf-8")
+        assert run_json(capsys, command, *argv,
+                        "--config", str(config)) == rejected
+    flag = "--" + key.replace("_", "-")
+    assert run_json(capsys, command, *argv, flag, "2.5") == rejected
+    # an integer-valued JSON string is still an integer
+    config.write_text(json.dumps({key: integral}), encoding="utf-8")
+    code, _ = run_cli(capsys, command, *argv, "--config", str(config))
+    assert code == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"output is not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["freq-shift", "--inner-radius", "0.01", "--outer-radius", "0.0101",
+     "--length", "inf", "--mass", "0.01", "--angular-frequency", "600"],
+    ["freq-shift", "--inner-radius", "0.01", "--outer-radius", "0.0101",
+     "--mass", "0.01", "--angular-frequency", "inf"],
+    ["eccentric", "--inner-radius", "0.01", "--outer-radius", "0.0101",
+     "--length", "inf", "--offset-fractions", "0,0.25", "--format", "json"],
+], ids=["freq-shift-length", "freq-shift-frequency", "eccentric-length"])
+def test_non_finite_geometry_is_usage_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert code == 2
+    assert "finite" in payload["error"]
+
+
+def test_orbits_rejects_infinite_length_cap(capsys):
+    code, payload = run_json(capsys, "orbits", "--alpha", "2",
+                             "--length-cap", "inf")
+    assert code == 2
+    assert payload["error"] == "length_cap must be finite"
+
+
+def test_help_shows_each_default_and_choice(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["sweep", "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--alpha-min ALPHA_MIN default: 1.1" in text
+    assert "--format {csv,json} default: csv" in text
+    assert "--max-subdivisions MAX_SUBDIVISIONS default: 200" in text
+
+
+def _readme_quick_start_commands() -> list[str]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Quick start")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    return [line for line in block.splitlines()
+            if line.startswith("coaxcasimir ")]
+
+
+def test_readme_quick_start_commands_run_as_written(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_quick_start_commands()
+    assert commands
+    for command in commands:
+        code, _ = run_cli(capsys, *shlex.split(command)[1:])
+        assert (command, code) == (command, 0)

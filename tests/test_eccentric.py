@@ -194,6 +194,12 @@ def test_resonator_validation():
         ResonatorParams(1.0, -5.0)
 
 
+@pytest.mark.parametrize("mass, freq", [(math.inf, 1.0), (1.0, math.inf)])
+def test_resonator_rejects_non_finite_parameters(mass, freq):
+    with pytest.raises(ValueError, match="finite"):
+        ResonatorParams(mass, freq)
+
+
 @given(fraction=st.floats(min_value=0.01, max_value=0.9))
 @settings(max_examples=20)
 def test_numeric_force_positive_for_any_offset(fraction):

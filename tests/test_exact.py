@@ -280,6 +280,12 @@ def test_geometry_validation():
     assert ConcentricGeometry(1.0, 3.0).ratio == 3.0
 
 
+@pytest.mark.parametrize("dims", [(0.01, math.inf), (0.01, 0.0101, math.inf)])
+def test_geometry_rejects_non_finite_dimensions(dims):
+    with pytest.raises(ValueError, match="finite"):
+        ConcentricGeometry(*dims)
+
+
 def test_numerics_validation():
     with pytest.raises(ValueError):
         NumericsConfig(order_tol=0.0)
