@@ -304,7 +304,9 @@ def _sweep_row(alpha: float, names=(), prox_exponent=None,
 
 
 def _run_rows(worker, grid, workers: int) -> list[dict]:
-    if workers <= 1 or len(grid) <= 1:
+    """``worker`` at each ratio of ``grid``, in at most one process a row."""
+    workers = min(workers, len(grid))
+    if workers <= 1:
         return [worker(alpha) for alpha in grid]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, grid))
@@ -508,7 +510,8 @@ _FINITE_MAX = (math.isfinite, "alpha_max must be finite")
 
 _QUAD_OPTS = _field_opts(QuadratureSpec(), _QUAD_FIELDS)
 _NUMERICS_OPTS = _QUAD_OPTS + _field_opts(NumericsConfig(), _ORDER_FIELDS)
-_WORKERS = _Opt("workers", int, os.cpu_count() or 1)
+_WORKERS = _Opt("workers", int, os.cpu_count() or 1,
+                check=(lambda n: n >= 1, "workers must be at least 1"))
 _ROWS_FORMAT = _Opt("format", str, "csv", choices=("csv", "json"))
 _LENGTH = _Opt("length", float, 1.0)
 _RADII = (_Opt("inner_radius", float, required=True),

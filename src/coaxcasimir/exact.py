@@ -61,14 +61,15 @@ rule as the energy, and the pressure's error bound is
 :math:`\delta` the quadrature plus angular-truncation error of its sum.
 
 Both mode sums integrate the orders in lockstep blocks: the n = 0 term
-alone, then blocks of ``_ORDER_BLOCK`` consecutive orders from n = 1 on,
-each block one :func:`~.quadrature.integrate_semi_infinite_batch` call
-whose integrand hands the mode factor one order per abscissa.  Every
-order keeps its own adaptive panels, so each per-order integral, and the
-sum, is bit for bit what one order at a time gives.  The stopping rule
-reads the orders one by one; the orders of the last block past the
-stopping order are discarded and count in no field of the result, and
-no block reaches past ``order_cap``.
+alone, then consecutive orders from n = 1 on in blocks 16 wide through
+order 144 and wider beyond, up to 64 (:func:`_order_blocks`), each block
+one :func:`~.quadrature.integrate_semi_infinite_batch` call whose
+integrand hands the mode factor one order per abscissa.  Every order
+keeps its own adaptive panels, so each per-order integral, and the sum,
+is bit for bit what one order at a time gives.  The stopping rule reads
+the orders one by one; the orders of the last block past the stopping
+order are discarded and count in no field of the result, and no block
+reaches past ``order_cap``.
 """
 
 from __future__ import annotations
@@ -161,14 +162,20 @@ class NumericsConfig:
 
 DEFAULT_NUMERICS = NumericsConfig()
 
-#: Consecutive angular orders the reduced route integrates together, one
-#: Bessel kernel call per regime serving the pending panels of all of
-#: them.  Orders of the last block past the stopping order are wasted
-#: work: the 30 pressures of the default sweep take 19,608 Gauss-Kronrod
-#: panels with blocks of 16, 22,275 with 32 and 30,338 with 64, while
-#: the 1,080 orders at alpha = 1.01 need 729 kernel calls with 16 and 387
-#: with 32, at about the same time.
-_ORDER_BLOCK = 16
+#: Width bounds of the lockstep order blocks: the block from order
+#: ``first`` on has ``min(_BLOCK_MAX, max(_BLOCK_MIN, first // 8))``
+#: orders.  One Bessel kernel call per regime serves the pending panels
+#: of a whole block, and the orders of the last block past the stopping
+#: order are wasted work (at most ``_BLOCK_MAX - 1`` orders).  Narrow
+#: blocks keep that waste small where sums stop early; wide ones cut the
+#: lockstep rounds near contact, where a sum needs about 1/(alpha - 1)
+#: orders.  Every block through order 144 is 16 wide, so the default
+#: sweep (at most 138 orders) runs the blocks it ran with a fixed width
+#: of 16.  The 1,080 orders at alpha = 1.01 take 29 blocks and 347
+#: lockstep rounds (one mode-factor call each), where a fixed width of 16
+#: took 68 blocks and 716 rounds.
+_BLOCK_MIN = 16
+_BLOCK_MAX = 64
 
 #: Looser tolerances for the double-integral route, which nests two
 #: adaptive integrals per order and is meant as a cross-check at the
@@ -376,13 +383,22 @@ def interaction_energy(ratio: float,
     return _mode_sum(log_mode_factor, ratio, cfg)
 
 
+def _order_blocks(order_cap: int):
+    """The lockstep blocks of the orders 1 to ``order_cap``, as arrays."""
+    first = 1
+    while first <= order_cap:
+        width = min(_BLOCK_MAX, max(_BLOCK_MIN, first // 8))
+        yield np.arange(first, min(first + width, order_cap + 1))
+        first += width
+
+
 def _mode_sum(factor, ratio: float, cfg: NumericsConfig) -> EnergyResult:
     """``sum_n integral_0^inf y factor(n, y, alpha) dy / (4 pi)``.
 
     The leading panel width is the decay scale ``1/(alpha - 1)``; ``ratio``
     must already be validated.  Orders from n = 1 on are integrated in
-    blocks of ``_ORDER_BLOCK`` by one batched quadrature call each, whose
-    integrand is ``factor`` at one order per abscissa.
+    the blocks of :func:`_order_blocks` by one batched quadrature call
+    each, whose integrand is ``factor`` at one order per abscissa.
     """
     qspec = replace(cfg.quad, tail_cut=1.0 / (ratio - 1.0))
     inv_4pi = 1.0 / (4.0 * math.pi)
@@ -396,13 +412,10 @@ def _mode_sum(factor, ratio: float, cfg: NumericsConfig) -> EnergyResult:
         # n = 0 alone: one integral is bit for bit a batch of one.
         yield scaled(integrate_semi_infinite(
             lambda y: y * factor(0, y, ratio), qspec))
-        for first in range(1, cfg.order_cap + 1, _ORDER_BLOCK):
-            orders = np.arange(first,
-                               min(first + _ORDER_BLOCK, cfg.order_cap + 1))
-            block = integrate_semi_infinite_batch(
+        for orders in _order_blocks(cfg.order_cap):
+            yield from map(scaled, integrate_semi_infinite_batch(
                 lambda y, which: y * factor(orders[which], y, ratio),
-                len(orders), qspec)
-            yield from map(scaled, block)
+                len(orders), qspec))
 
     return _order_contributions(cfg, parts())
 

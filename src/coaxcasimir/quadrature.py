@@ -4,16 +4,21 @@ A single embedded Gauss--Kronrod 7/15 pair drives everything: the
 15-point Kronrod value is the estimate, the difference against the
 embedded 7-point Gauss value is the (deliberately pessimistic) error
 estimate for the panel.  Panels are bisected worst-first with a
-deterministic tie-break, and sums are always assembled left-to-right, so
-a given integrand and spec produce bit-identical results on every run.
+deterministic tie-break.
+
+A panel's weighted sums over its 15 nodes are one fixed pairwise tree:
+the node values, padded with a zero to 16 and multiplied by the
+weights, are halved four times (``p[:8] + p[8:]``, then ``p[:4] +
+p[4:]``, ...).  The tree is elementwise across panels, and each
+integral sums its own panels in a fixed order, so a batch of integrals
+returns by construction, bit for bit, what each returns alone.
 
 Semi-infinite integrals assume the integrand eventually decays at least
 exponentially (true of every caller in this package).  They are summed
-over panels whose endpoints grow geometrically, ``[0, c], [c, 2c],
-[2c, 4c], ...``, with the leading width ``c`` taken from
-``QuadratureSpec.tail_cut``; the march stops once a panel contributes
-less than ``abs_tol`` and a geometric-decay bound on the remaining tail
-drops below ``abs_tol`` as well.
+over segments of doubling width, ``[0, c], [c, 3c], [3c, 7c], ...``
+(``c = QuadratureSpec.tail_cut``); the march stops once a segment
+contributes less than ``abs_tol`` and a geometric-decay bound on the
+remaining tail drops below ``abs_tol`` as well.
 
 Integrand callables must be vectorized: they receive an ndarray of
 abscissae and return an ndarray of values.  Batched integrands, for
@@ -21,8 +26,8 @@ abscissae and return an ndarray of values.  Batched integrands, for
 ``x`` holds the pending abscissae of several integrals at once, the int
 array ``which`` of the same shape names the integral each abscissa
 belongs to, and ``f`` returns one value per abscissa.  All integrals,
-batched or single, run through one adaptive core that advances them in
-lockstep; each keeps its own panels, tolerances and result.
+batched or single, run through one adaptive core that holds the pending
+panels of all of them in flat arrays and advances them in lockstep.
 """
 
 from __future__ import annotations
@@ -59,12 +64,13 @@ _WG = np.array([
 
 # Full node vector on [-1, 1], ascending; Gauss nodes sit at odd indices.
 _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_WEIGHTS_G = np.zeros_like(_NODES)
-_WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+# Weights of the pairwise panel sum, padded with a zero row to 16 rows;
+# the columns weigh f (Kronrod), f (Gauss) and |f| (Kronrod).
+_WEIGHTS = np.zeros((16, 3, 1))
+_WEIGHTS[:15, 0::2, 0] = np.concatenate([_WGK[:-1], _WGK[::-1]])[:, None]
+_WEIGHTS[1:14:2, 1, 0] = np.concatenate([_WG[:-1], _WG[::-1]])
 
-# A Python float, so that the floor and the errors built on it are too.
-_EPS = float(np.finfo(float).eps)
+_FLOOR = 50.0 * np.finfo(float).eps
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -75,10 +81,10 @@ class NonFiniteIntegrandError(ValueError):
 class QuadratureSpec:
     """Tolerances and budgets for the adaptive integrators.
 
-    ``tail_cut`` is the leading panel width for semi-infinite integrals;
-    callers with an exponential decay scale ``lambda`` should set it to
-    roughly ``1/lambda`` so the first panel already spans the bulk of the
-    integrand.
+    ``tail_cut`` is the leading segment width for semi-infinite
+    integrals; callers with an exponential decay scale ``lambda`` should
+    set it to roughly ``1/lambda`` so the first segment already spans the
+    bulk of the integrand.
     """
 
     rel_tol: float = 1e-9
@@ -105,169 +111,159 @@ class QuadratureResult:
     converged: bool
 
 
-def _estimate(fx: np.ndarray, lo: float, hi: float):
-    """Kronrod value, |K-G| error estimate and rounding floor for one panel.
+def _tree_sum(p: np.ndarray) -> np.ndarray:
+    """Sum over the 16 rows of ``p`` as a fixed pairwise tree."""
+    for rows in (8, 4, 2, 1):
+        p = p[:rows] + p[rows:]
+    return p[0]
 
-    The floor, ``50 eps`` times the Kronrod integral of ``|f|``, is the
-    smallest error the estimate ever reports; bisection leaves it nearly
-    unchanged, since the integrals of ``|f|`` over the halves add up.
+
+def _estimates(fx: np.ndarray, half: np.ndarray, width: np.ndarray):
+    """Kronrod value, error estimate and rounding floor of each panel.
+
+    ``fx`` holds the node values panel by panel.  The floor, ``50 eps``
+    times the Kronrod integral of ``|f|``, is the smallest error ever
+    reported; bisection leaves it nearly unchanged.
     """
-    half = 0.5 * (hi - lo)
-    kron = half * float(fx @ _WEIGHTS_K)
-    gauss = half * float(fx @ _WEIGHTS_G)
-    err = abs(kron - gauss)
+    f = fx.reshape(len(half), len(_NODES)).T
+    p = np.zeros((16, 3, len(half)))
+    p[:15] = f[:, None]
+    p[:15, 2] = np.abs(f)
+    kron, gauss, resabs = half * _tree_sum(p * _WEIGHTS)
     # |K - G| alone under-reports the Kronrod error near integrable
     # singularities; rescale it against the deviation integral and put a
     # rounding floor under it, as adaptive Kronrod libraries do.
-    resasc = abs(half) * float(np.abs(fx - kron / (hi - lo)) @ _WEIGHTS_K)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    resabs = abs(half) * float(np.abs(fx) @ _WEIGHTS_K)
-    floor = 50.0 * _EPS * resabs
-    return kron, max(err, floor), floor
+    p[:15, 0] = np.abs(f - kron / width)
+    resasc = half * _tree_sum(p[:, 0] * _WEIGHTS[:, 0])
+    err = np.abs(kron - gauss)
+    flat = resasc == 0.0
+    scaled = resasc * np.minimum(1.0, (200.0 * err / (resasc + flat)) ** 1.5)
+    floor = _FLOOR * resabs
+    return kron, np.maximum(np.where(flat, err, scaled), floor), floor
 
 
-def _lockstep(f, tasks) -> list:
-    """Advance independent integrals together; return their results.
+class _Integral:
+    """One integral: its finished segments' sums, its march from [0, hi]."""
 
-    Each task is a generator that yields the panels it needs next, as a
-    list of ``(lo, hi)`` pairs, is sent their ``(value, error, floor)``
-    estimates in the same order, and finally returns its result.
-    Every round evaluates all pending panels of all tasks in one call
-    ``f(x, which)``.  The estimates are still formed panel by panel (one
-    matrix product over all panels would sum in another order), so a
-    task's result does not depend on the tasks it runs beside.
+    value = error = 0.0
+    evaluations = segments = 0
+    converged, last, tail = True, None, None
+
+    def __init__(self, hi: float):
+        self.hi = self.width = hi
+
+    def march(self, spec: QuadratureSpec, contrib: float):
+        """The segment after one of magnitude ``contrib``, or None."""
+        stop_tol = spec.abs_tol / 4.0
+        if self.last is not None and contrib <= stop_tol:
+            # q < 0.5 only as the segments shrink; a zero one bounds by 0
+            q = contrib / max(self.last, contrib) if contrib > 0.0 else 0.0
+            if q < 0.5 and (bound := contrib * q / (1.0 - q)) <= stop_tol:
+                self.tail = bound
+                return None
+        self.last, self.segments = contrib, self.segments + 1
+        if self.segments == spec.max_subdivisions:
+            return None
+        lo, self.width = self.hi, 2.0 * self.width
+        self.hi = lo + self.width
+        return lo, self.hi
+
+
+def _lockstep(f, count: int, spec: QuadratureSpec, lo: float, hi: float,
+              march_spec: QuadratureSpec | None = None) -> list:
+    """Run ``count`` adaptive integrals together; return their results.
+
+    Each integral bisects ``[lo, hi]`` worst panel first; given
+    ``march_spec``, it marches on over doubling segments until its tail
+    is bounded.  Once every panel's error sits at its rounding floor, no
+    bisection can lower the total, so a segment counts as converged even
+    above the requested tolerance (an integrand whose parts cancel).
     """
-    results = [None] * len(tasks)
-    pending = {i: next(task) for i, task in enumerate(tasks)}
-    while pending:
-        owners = list(pending)
-        panels = [panel for i in owners for panel in pending[i]]
-        lo, hi = np.array(panels).T
-        x = ((0.5 * (lo + hi))[:, None]
-             + (0.5 * (hi - lo))[:, None] * _NODES).ravel()
-        which = np.repeat(owners, [len(_NODES) * len(pending[i])
-                                   for i in owners])
-        fx = np.asarray(f(x, which), dtype=float)
+    bins = count * np.arange(3)[:, None]
+
+    def sums(rows, owners, ids):
+        """Each integral's sums of ``rows``, in the order of ``owners``:
+        creation order while it adapts, left to right when it finishes."""
+        return np.bincount((owners + bins).ravel(), rows.ravel(),
+                           3 * count).reshape(3, count)[:, ids]
+
+    def settled(value, error, floor):
+        return error <= np.maximum(np.maximum(
+            spec.abs_tol, spec.rel_tol * np.abs(value)), floor)
+
+    integrals = [_Integral(hi) for _ in range(count)]
+    splits = np.zeros(count, dtype=int)
+    # the pending panels: owner, and rows lo, hi, value, error, floor
+    own, panels = np.empty(0, dtype=int), np.empty((5, 0))
+    new_own = np.arange(count)
+    new_lo, new_hi = np.full(count, lo), np.full(count, hi)
+    while len(new_own):
+        width = new_hi - new_lo
+        half = 0.5 * width
+        x = (0.5 * (new_lo + new_hi) + half * _NODES[:, None]).T.ravel()
+        fx = np.asarray(f(x, new_own.repeat(len(_NODES))), dtype=float)
         if fx.shape != x.shape:
             raise ValueError("integrand must return one value per abscissa")
-        bad = ~np.isfinite(fx)
-        if np.any(bad):
-            raise NonFiniteIntegrandError(
-                f"integrand returned a non-finite value at x={x[bad][0]!r}"
-            )
-        estimates = iter([_estimate(row, a, b) for row, (a, b)
-                          in zip(fx.reshape(-1, len(_NODES)), panels)])
-        for i in owners:
-            sent = [next(estimates) for _ in pending[i]]
-            try:
-                pending[i] = tasks[i].send(sent)
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
-    return results
-
-
-def _single(f):
-    """Adapt a one-integral integrand to the ``f(x, which)`` form."""
-    return lambda x, which: f(x)
-
-
-def _finite(lo: float, hi: float, spec: QuadratureSpec):
-    """Task for :func:`_lockstep`: one adaptive integral over [lo, hi].
-
-    Returns the ``QuadratureResult``.  Once every panel's error estimate
-    sits at its rounding floor, no bisection can lower the total, so the
-    integral counts as converged even if the floor exceeds the requested
-    tolerance (an integrand whose positive and negative parts cancel, for
-    example).
-    """
-    (val, err, floor), = yield [(lo, hi)]
-    panels = [(lo, hi, val, err, floor)]
-    evaluations = len(_NODES)
-    splits = 0
-    while True:
-        total = sum(p[2] for p in panels)
-        total_err = sum(p[3] for p in panels)
-        total_floor = sum(p[4] for p in panels)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total),
-                            total_floor):
-            break
-        if splits >= spec.max_subdivisions:
-            break
-        # worst panel first; ties resolved by left endpoint for determinism
-        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        plo, phi, pval, perr, pfloor = panels.pop(worst)
-        mid = 0.5 * (plo + phi)
-        if mid <= plo or mid >= phi:
-            # not splittable in double precision; give up on this panel
-            panels.append((plo, phi, pval, perr, pfloor))
-            break
-        left, right = yield [(plo, mid), (mid, phi)]
-        panels.append((plo, mid, *left))
-        panels.append((mid, phi, *right))
-        evaluations += 2 * len(_NODES)
-        splits += 1
-
-    panels.sort(key=lambda p: p[0])
-    value = 0.0
-    error = 0.0
-    floor = 0.0
-    for _, _, pval, perr, pfloor in panels:
-        value += pval
-        error += perr
-        floor += pfloor
-    # derive convergence from the assembled sums so the advertised
-    # invariant (error <= max(abs_tol, rel_tol * |value|, floor) on
-    # success) holds exactly as reported
-    converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value), floor)
-    return QuadratureResult(value, error, evaluations, converged)
-
-
-def _semi_infinite(spec: QuadratureSpec):
-    """Task for :func:`_lockstep`: one integral over [0, inf)."""
-    value = 0.0
-    error = 0.0
-    evaluations = 0
-    panels_ok = True
-    tail_bound = None
-    prev_contrib = None
-    lo = 0.0
-    width = spec.tail_cut
-    # budget the requested tolerance across panels and tail bound so the
-    # summed estimate still satisfies the advertised invariant
-    panel_spec = replace(spec, abs_tol=spec.abs_tol / 32.0,
-                         rel_tol=spec.rel_tol / 8.0)
-    stop_tol = spec.abs_tol / 4.0
-    for _ in range(spec.max_subdivisions):
-        hi = lo + width
-        part = yield from _finite(lo, hi, panel_spec)
-        value += part.value
-        error += part.error_estimate
-        evaluations += part.evaluations
-        panels_ok = panels_ok and part.converged
-        contrib = abs(part.value)
-        if prev_contrib is not None and contrib <= stop_tol:
-            if contrib == 0.0:
-                tail_bound = 0.0
-                break
-            q = contrib / prev_contrib if prev_contrib > 0.0 else 1.0
-            if q < 0.5:
-                bound = contrib * q / (1.0 - q)
-                if bound <= stop_tol:
-                    tail_bound = bound
-                    break
-        prev_contrib = contrib
-        lo = hi
-        width *= 2.0
-    if tail_bound is not None:
-        error += tail_bound
-    # Each converged panel's error is within the tolerance it met, so the
-    # total is within the sum of those tolerances plus the tail bound.  A
-    # test of the total against rel_tol * |value| would fail a sum that
-    # cancels, whose panels met tolerances relative to their own parts.
-    converged = panels_ok and tail_bound is not None
-    return QuadratureResult(value, error, evaluations, converged)
+        finite = np.isfinite(fx)
+        if not finite.all():
+            raise NonFiniteIntegrandError("integrand returned a non-finite "
+                                          f"value at x={x[~finite][0]!r}")
+        own = np.concatenate((own, new_own))
+        panels = np.concatenate((panels, (new_lo, new_hi, *_estimates(
+            fx, half, width))), axis=1)
+        # each integral's worst panel: the largest error, ties to the left
+        order = np.lexsort((-panels[0], panels[3], own))
+        grouped = own[order]
+        last = np.empty(len(own), dtype=bool)
+        last[-1] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=last[:-1])
+        worst, ids = order[last], grouped[last]
+        wlo, whi = panels.take(worst, axis=1)[:2]
+        mid = 0.5 * (wlo + whi)
+        done = (settled(*sums(panels[2:], own, ids))
+                | (splits[ids] >= spec.max_subdivisions)
+                # not splittable in double precision
+                | (mid <= wlo) | (mid >= whi))
+        go = ~done
+        split, cut = ids[go], worst[go]
+        keep = np.ones(len(own), dtype=bool)
+        keep[cut] = False
+        splits[split] += 1
+        new_own = split.repeat(2)
+        new_lo, new_hi = wlo[go].repeat(2), whi[go].repeat(2)
+        new_lo[1::2] = new_hi[::2] = mid[go]
+        if done.any():
+            ids = ids[done]
+            closing = (own[:, None] == ids).any(axis=1)
+            keep &= ~closing
+            by_lo = np.lexsort((panels[0], own, ~closing))[:closing.sum()]
+            part = sums(panels[2:, by_lo], own[by_lo], ids)
+            going = []
+            for i, value, error, _, evaluations, converged in zip(
+                    ids.tolist(), *part.tolist(),
+                    (len(_NODES) * (1 + 2 * splits[ids])).tolist(),
+                    settled(*part).tolist()):
+                one = integrals[i]
+                one.value += value
+                one.error += error
+                one.evaluations += evaluations
+                one.converged = one.converged and converged
+                if march_spec and (seg := one.march(march_spec, abs(value))):
+                    going.append((i, *seg))
+            splits[ids] = 0
+            if going:
+                new_own, new_lo, new_hi = (
+                    np.concatenate(pair) for pair in
+                    zip((new_own, new_lo, new_hi), zip(*going)))
+        own, panels = own[keep], panels[:, keep]
+    # A marching integral converged when each segment did and its tail is
+    # bounded: its error is then within the sum of the segments' tolerances
+    # plus the bound.  A test against rel_tol * |value| would fail a sum
+    # that cancels, whose segments met tolerances relative to their parts.
+    return [QuadratureResult(
+        one.value, one.error + (one.tail or 0.0), one.evaluations,
+        one.converged and (march_spec is None or one.tail is not None))
+        for one in integrals]
 
 
 def integrate_finite(f, lo: float, hi: float,
@@ -296,33 +292,33 @@ def integrate_finite(f, lo: float, hi: float,
         raise ValueError("bounds must be finite")
     if not lo < hi:
         raise ValueError("require lo < hi")
-    return _lockstep(_single(f), [_finite(lo, hi, spec)])[0]
+    return _lockstep(lambda x, which: f(x), 1, spec, lo, hi)[0]
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
     """Integrate a vectorized, eventually-exponentially-decaying f over [0, inf).
 
-    Panels ``[0, c], [c, 2c], [2c, 4c], ...`` (``c = spec.tail_cut``) are
-    each integrated as in :func:`integrate_finite`.  Once past the third
-    panel, the march stops when the last panel contributed less than
-    ``abs_tol`` in magnitude and the geometric tail bound
+    Segments ``[0, c], [c, 3c], [3c, 7c], ...`` (``c = spec.tail_cut``)
+    are each integrated as in :func:`integrate_finite`.  From the second
+    segment on, the march stops when the last segment contributed less
+    than ``abs_tol`` in magnitude and the geometric tail bound
 
         |tail| <= |last| * q / (1 - q),   q = |last| / |previous|
 
-    is below ``abs_tol`` too (the bound is valid once the panel
-    contributions decay, which exponential decay over doubling panels
+    is below ``abs_tol`` too (the bound is valid once the segment
+    contributions decay, which exponential decay over doubling segments
     guarantees with q well under 1/2).  The bound is added to the
     reported error estimate.
 
     Returns
     -------
     QuadratureResult
-        ``converged`` is False if the panel budget was exhausted before
-        the tail was bounded, or any panel failed to converge.  Otherwise
-        the error is within the sum of the panels' tolerances plus the
-        tail bound, even when the panels cancel and the sum is near 0.
+        ``converged`` is False if the segment budget was exhausted before
+        the tail was bounded, or any segment failed to converge.
+        Otherwise the error is within the sum of the segments' tolerances
+        plus the tail bound, even when they cancel and the sum is near 0.
     """
-    return _lockstep(_single(f), [_semi_infinite(spec)])[0]
+    return integrate_semi_infinite_batch(lambda x, which: f(x), 1, spec)[0]
 
 
 def integrate_semi_infinite_batch(f, count: int,
@@ -332,7 +328,7 @@ def integrate_semi_infinite_batch(f, count: int,
 
     ``f(x, which)`` is the batched integrand: ``which[j]`` is the index
     (0 to ``count - 1``) of the integral that abscissa ``x[j]`` belongs
-    to.  Each integral runs the panel march and bisection of
+    to.  Each integral runs the segment march and bisection of
     :func:`integrate_semi_infinite` on its own, and its result equals,
     bit for bit, what that function returns for the one integrand
     ``lambda x: f(x, index)``.  What is shared is the call: every round
@@ -341,4 +337,8 @@ def integrate_semi_infinite_batch(f, count: int,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    return _lockstep(f, [_semi_infinite(spec) for _ in range(count)])
+    # budget the tolerance across segments and the tail bound so the
+    # summed estimate still satisfies the advertised invariant
+    panel_spec = replace(spec, abs_tol=spec.abs_tol / 32.0,
+                         rel_tol=spec.rel_tol / 8.0)
+    return _lockstep(f, count, panel_spec, 0.0, spec.tail_cut, spec)

@@ -198,13 +198,15 @@ def _log_ik_debye(n, x: np.ndarray):
     asinh(1/z)`` to avoid cancellation at large ``z``; all four series
     are evaluated together by one Horner pass in :math:`t^2`.  An order
     array has its series rows and constants formed once per distinct
-    order and gathered per point, so each point's arithmetic is that of
-    its order alone.
+    order; each Horner step gathers its coefficients per point from that
+    table, so each point's arithmetic is that of its order alone and no
+    (rows x terms x points) array is formed.
     """
     if np.ndim(n) == 0:
         nu = float(n)
-        coeffs, c_i, c_k = _debye_constants(n)
-        coeffs = coeffs.reshape((4, -1) + (1,) * x.ndim)
+        table, c_i, c_k = _debye_constants(n)
+        table = table[..., None]
+        where = np.zeros((1,) * x.ndim, dtype=int)
     else:
         # the distinct orders and each point's index among them, unsorted
         offset = n - n.min()
@@ -213,7 +215,7 @@ def _log_ik_debye(n, x: np.ndarray):
         distinct = np.flatnonzero(present) + n.min()
         rows, c_i, c_k = zip(*map(_debye_constants, distinct.tolist()))
         nu = n.astype(float)
-        coeffs = np.stack(rows, axis=-1)[..., where]
+        table = np.stack(rows, axis=-1)
         c_i = np.array(c_i)[where]
         c_k = np.array(c_k)[where]
     z = x / nu
@@ -221,9 +223,9 @@ def _log_ik_debye(n, x: np.ndarray):
     t = 1.0 / hyp
     s = t * t
     lead = nu * (1.0 / (hyp + z) - np.arcsinh(1.0 / z))
-    acc = coeffs[:, 0]
-    for c in coeffs[:, 1:].swapaxes(0, 1):
-        acc = acc * s + c
+    acc = table[:, 0, where]
+    for j in range(1, table.shape[1]):
+        acc = acc * s + table[:, j, where]
     even, odd = acc[:2], acc[2:] * t
     log_plus = np.log1p(even + odd)      # I and I' series
     log_minus = np.log1p(even - odd)     # K and K' series

@@ -295,6 +295,58 @@ def test_sweep_output_is_byte_deterministic(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+class _RecordingPool:
+    """An in-process stand-in for ProcessPoolExecutor that records its size."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("command, argv, started", [
+    ("sweep", ["--steps", "3", "--workers", "64"], [3]),
+    ("sweep", ["--steps", "3", "--workers", "2"], [2]),
+    ("sweep", ["--steps", "3", "--workers", "1"], []),
+    ("fit-p", ["--steps", "1", "--workers", "64"], []),
+])
+def test_worker_pool_is_capped_at_the_grid_size(capsys, monkeypatch,
+                                                command, argv, started):
+    """A pool never has more processes than the grid has rows."""
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers))
+    if command == "sweep":
+        argv = argv + ["--quantities", "semiclassical"]
+    code, _ = run_cli(capsys, command, *argv)
+    assert code == 0
+    assert sizes == started
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_is_usage_error(capsys, monkeypatch, tmp_path,
+                                          source, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    argv = ["sweep", "--steps", "2", "--quantities", "semiclassical"]
+    if source == "flag":
+        argv += ["--workers", str(workers)]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"workers": workers}))
+        argv += ["--config", str(config)]
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload == {"error": "workers must be at least 1"}
+
+
 def test_eccentric_force_table(capsys):
     code, payload = run_json(
         capsys, "eccentric", "--inner-radius", "1", "--outer-radius", "1.05",

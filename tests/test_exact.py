@@ -212,15 +212,34 @@ def test_si_conversions_scale_correctly():
     (log_mode_factor_dalpha, lambda r: pressure_inner(r).derivative_result),
 ])
 def test_order_blocks_equal_one_order_integrals(factor, mode_sum):
-    """Each order of a block is, bit for bit, its own integral."""
-    ratio = 1.1
-    per_order = dict(mode_sum(ratio).per_order)
-    spec = replace(DEFAULT_NUMERICS.quad, tail_cut=1.0 / (ratio - 1.0))
-    for n in (0, 1, 40, 41, 126):
-        alone = integrate_semi_infinite(
-            lambda y: y * factor(n, y, ratio), spec)
-        weight = 1.0 if n == 0 else 2.0
-        assert per_order[n] == weight * (alone.value * (1.0 / (4.0 * math.pi)))
+    """Each order of a block is, bit for bit, its own integral.
+
+    n = 700 at alpha = 1.01 lies inside a block wider than 16.
+    """
+    for ratio, orders in ((1.1, (0, 1, 40, 41, 126)), (1.01, (700,))):
+        per_order = dict(mode_sum(ratio).per_order)
+        spec = replace(DEFAULT_NUMERICS.quad, tail_cut=1.0 / (ratio - 1.0))
+        for n in orders:
+            alone = integrate_semi_infinite(
+                lambda y: y * factor(n, y, ratio), spec)
+            weight = 1.0 if n == 0 else 2.0
+            assert per_order[n] == weight * (alone.value
+                                             * (1.0 / (4.0 * math.pi)))
+
+
+@pytest.mark.parametrize("order_cap", [2, 16, 17, 144, 145, 1079, 2000])
+def test_order_block_schedule(order_cap):
+    """Blocks tile the orders 1..order_cap: 16 wide through order 144,
+    never wider than 64, and never past the cap."""
+    blocks = list(exact._order_blocks(order_cap))
+    np.testing.assert_array_equal(np.concatenate(blocks),
+                                  np.arange(1, order_cap + 1))
+    for block in blocks:
+        assert len(block) <= 64
+        if block[-1] <= 144 and block[-1] < order_cap:
+            assert len(block) == 16
+    # near contact the blocks do widen, up to the cap of 64
+    assert order_cap < 1000 or max(map(len, blocks)) == 64
 
 
 def test_near_contact_sum_counts_only_the_orders_it_uses():

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.special import sici
 
 from coaxcasimir import (
     QuadratureSpec,
@@ -156,6 +157,55 @@ def test_batch_matches_each_integral_alone():
         assert result == alone
         assert result.converged
 
+
+@given(params=st.lists(
+    st.tuples(st.floats(min_value=0.05, max_value=20.0),
+              st.floats(min_value=0.0, max_value=2.0 * math.pi)),
+    min_size=1, max_size=40))
+def test_batch_of_any_size_equals_each_integral_alone(params):
+    """Batch sizes 1 to 40, random decays and phases: each result of a
+    batch is, bit for bit, what the integral returns on its own."""
+    decay, phase = map(np.array, zip(*params))
+
+    def batched(x, which):
+        return np.exp(-decay[which] * x) * np.cos(x + phase[which])
+
+    results = integrate_semi_infinite_batch(batched, len(params))
+    for i, result in enumerate(results):
+        assert result == integrate_semi_infinite(
+            lambda x: np.exp(-decay[i] * x) * np.cos(x + phase[i]))
+
+
+def test_batch_inside_an_integrand_equals_a_loop_of_integrals():
+    """An outer integral whose integrand runs a batch of inner integrals,
+    one per outer node (the double-integral route's shape), returns what
+    the same integrand gives as a loop of single integrals.
+
+    integral_0^inf dk integral_0^inf ds e^-(s + k) cos(k s)
+      = integral_0^inf e^-k / (1 + k^2) dk
+      = Ci(1) sin 1 + (pi/2 - Si(1)) cos 1.
+    """
+    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
+
+    def inner(s, k):
+        return np.exp(-(s + k)) * np.cos(k * s)
+
+    def batched(ks):
+        parts = integrate_semi_infinite_batch(
+            lambda s, which: inner(s, ks[which]), len(ks), spec)
+        return np.array([part.value for part in parts])
+
+    def looped(ks):
+        return np.array([
+            integrate_semi_infinite(lambda s: inner(s, k), spec).value
+            for k in ks])
+
+    nested = integrate_semi_infinite(batched, spec)
+    assert nested == integrate_semi_infinite(looped, spec)
+    si, ci = sici(1.0)
+    exact = ci * math.sin(1.0) + (0.5 * math.pi - si) * math.cos(1.0)
+    assert nested.converged
+    assert nested.value == pytest.approx(exact, rel=1e-6)
 
 def test_batch_errors_raise():
     """A non-finite value or a wrong shape in any integral is refused."""

@@ -283,16 +283,28 @@ def test_vectorized_ratios_match_scalar_routes():
 # a block of orders straddling the regime seam, each at several arguments
 SEAM_ORDERS = np.repeat(np.arange(36, 46), 5)
 SEAM_ARGS = np.geomspace(0.5, 900.0, SEAM_ORDERS.size)
+# 64-order blocks, the widest the mode sums run: one across the seam and
+# one deep in the Debye regime; each order twice, in shuffled order
+BLOCK_ACROSS_ORDERS = np.random.default_rng(7).permutation(
+    np.repeat(np.arange(9, 73), 2))
+BLOCK_DEEP_ORDERS = BLOCK_ACROSS_ORDERS + 691
+BLOCK_ARGS = np.geomspace(0.5, 900.0, BLOCK_ACROSS_ORDERS.size)
 
 
 @pytest.mark.parametrize("kernel", [_log_ik_scipy, _log_ik_debye, _pair_logs])
 def test_order_array_kernels_equal_one_order_calls(kernel):
-    """An order per point gives, bit for bit, each order's own call."""
-    got = kernel(SEAM_ORDERS, SEAM_ARGS)
-    for j, (n, x) in enumerate(zip(SEAM_ORDERS.tolist(), SEAM_ARGS)):
-        alone = kernel(n, SEAM_ARGS[j:j + 1])
-        for log_value, expected in zip(got, alone):
-            assert log_value[j] == expected[0], (kernel.__name__, n, x)
+    """An order per point gives, bit for bit, each order's own call, near
+    the seam and in 64-order blocks across it and (outside the SciPy
+    kernel's range, where it overflows) far above it."""
+    cases = [(SEAM_ORDERS, SEAM_ARGS), (BLOCK_ACROSS_ORDERS, BLOCK_ARGS)]
+    if kernel is not _log_ik_scipy:
+        cases.append((BLOCK_DEEP_ORDERS, BLOCK_ARGS))
+    for orders, args in cases:
+        got = kernel(orders, args)
+        for j, (n, x) in enumerate(zip(orders.tolist(), args)):
+            alone = kernel(n, args[j:j + 1])
+            for log_value, expected in zip(got, alone):
+                assert log_value[j] == expected[0], (kernel.__name__, n, x)
 
 
 def test_order_array_ratios_equal_one_order_calls():
