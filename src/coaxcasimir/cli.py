@@ -50,9 +50,9 @@ from .eccentric import (
     frequency_shift,
 )
 from .exact import (
-    SELF_ENERGY_COEFF,
     ConcentricGeometry,
     NumericsConfig,
+    _total_energy,
     interaction_energy,
     pressure_inner,
 )
@@ -275,9 +275,7 @@ def _sweep_row(alpha: float, names=(), prox_exponent=None,
             energy.quad_error + energy.truncation_error
         )
     if "total" in names:
-        row["total_energy"] = (
-            energy.value - SELF_ENERGY_COEFF * (1.0 + alpha**-2)
-        )
+        row["total_energy"] = _total_energy(energy.value, alpha)
     if "pressure" in names:
         row["pressure"] = pressure.value
         row["pressure_err"] = pressure.error
@@ -299,7 +297,7 @@ def _sweep_row(alpha: float, names=(), prox_exponent=None,
         row["discrepancy"] = abs(exact - model) / abs(exact)
     result = pressure if pressure is not None else energy
     ok = result is None or result.converged
-    row["status"] = "ok" if ok else "convergence"
+    row["status"] = "ok" if ok else "unconverged"
     return row
 
 
@@ -359,7 +357,7 @@ def _cmd_energy(args) -> int:
         "alpha": alpha,
         "interaction_energy": result.value,
         "interaction_energy_err": result.quad_error + result.truncation_error,
-        "total_energy": result.value - SELF_ENERGY_COEFF * (1 + alpha**-2),
+        "total_energy": _total_energy(result.value, alpha),
         "order_max": result.order_max,
         "converged": result.converged,
         "meta": {"version": __version__, "numerics": _numerics_echo(cfg)},
@@ -410,6 +408,10 @@ def _cmd_fit_p(args) -> int:
         ],
         "exact_values": exact,
     }
+    unconverged = [row["alpha"] for row in rows if row["status"] != "ok"]
+    if unconverged:
+        payload["error"] = ("mode sums did not converge at alpha "
+                            + ", ".join(map(repr, unconverged)))
     _emit(_json_text(payload), args.out)
     return _exit_code(rows)
 

@@ -275,15 +275,13 @@ def log_mode_factor(n, y, ratio: float):
     n : int or int ndarray
         Angular order (sign is irrelevant), or one order per element of
         a 1-d ``y``.
-    y : float or ndarray
+    y : float or array_like
         Radial argument(s) in units of the inner radius, > 0.
     ratio : float
         Radius ratio alpha > 1.
     """
-    scalar = np.isscalar(y) or getattr(y, "ndim", 0) == 0
-    lrd, lrn = reflection_ratio_logs(n, np.atleast_1d(y), ratio)
-    out = _log1mexp(np.asarray(lrd)) + _log1mexp(np.asarray(lrn))
-    return float(out[0]) if scalar else out
+    lrd, lrn = reflection_ratio_logs(n, y, ratio)
+    return _log1mexp(lrd) + _log1mexp(lrn)
 
 
 def log_mode_factor_dalpha(n, y, ratio: float):
@@ -295,12 +293,9 @@ def log_mode_factor_dalpha(n, y, ratio: float):
     and underflows quietly to 0 as ``t -> -inf``.  Takes ``n`` as
     :func:`log_mode_factor` does.
     """
-    scalar = np.isscalar(y) or getattr(y, "ndim", 0) == 0
-    lrd, lrn, d_lrd, d_lrn = reflection_ratio_logs_dalpha(
-        n, np.atleast_1d(y), ratio)
-    out = (np.exp(lrd) * d_lrd / np.expm1(lrd)
-           + np.exp(lrn) * d_lrn / np.expm1(lrn))
-    return float(out[0]) if scalar else out
+    lrd, lrn, d_lrd, d_lrn = reflection_ratio_logs_dalpha(n, y, ratio)
+    return (np.exp(lrd) * d_lrd / np.expm1(lrd)
+            + np.exp(lrn) * d_lrn / np.expm1(lrn))
 
 
 def _order_contributions(cfg: NumericsConfig, parts):
@@ -493,6 +488,11 @@ def interaction_energy_double_integral(
                                 map(term, range(cfg.order_cap + 1)))
 
 
+def _total_energy(interaction: float, ratio: float) -> float:
+    """The interaction energy at ``ratio`` plus both self-energies."""
+    return interaction - SELF_ENERGY_COEFF * (1.0 + ratio**-2)
+
+
 def casimir_energy(ratio: float,
                    cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Total dimensionless energy: interaction plus both self-energies.
@@ -500,8 +500,7 @@ def casimir_energy(ratio: float,
     For widely separated radii the interaction part dies off and the
     total saturates at ``-SELF_ENERGY_COEFF * (1 + ratio**-2)``.
     """
-    inter = interaction_energy(ratio, cfg)
-    return inter.value - SELF_ENERGY_COEFF * (1.0 + ratio**-2)
+    return _total_energy(interaction_energy(ratio, cfg).value, ratio)
 
 
 def pressure_inner(ratio: float,

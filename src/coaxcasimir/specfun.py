@@ -43,13 +43,16 @@ argument array from one kernel call:
   :math:`u_k` and :math:`v_k`) carried to eighth order in ``1/n``,
   evaluated directly in log space from one shared phase.
 
-The order is either one integer or an int array matching the argument
-array, one order per point, so a single call serves a block of angular
-orders.  Each point then takes the regime of its own order, and its
-arithmetic is exactly that of a one-order call: the Debye series rows and
-constants are formed once per distinct order and gathered per point,
-``ive`` takes the order array as it is, and the K recurrence runs to the
-block's highest order, elementwise, before each point picks its pair.
+The public functions take one integer order or an int array of orders
+matching the argument array, one order per point, so a single call serves
+a block of angular orders.  They resolve that once, at their boundary: a
+single order is checked and broadcast to the argument's shape, and the
+kernels below take an order per point only.  Each point takes the regime
+of its own order, and its arithmetic is exactly that of a block holding
+its order alone: the Debye series rows and constants are formed once per
+distinct order and gathered per point, ``ive`` takes the order array as
+it is, and the K recurrence runs to the block's highest order,
+elementwise, before each point picks its pair.
 
 Derivatives are never taken by finite differences.  The two regimes agree
 in their overlap window to better than 1e-12 relative, which the
@@ -163,24 +166,31 @@ def _debye_constants(n: int):
             0.5 * math.log(math.pi / (2.0 * nu)))
 
 
-def _validate_order_argument(n, x) -> np.ndarray:
+def _validate_order_argument(n, x):
+    """``(|n|, x)`` as an int array and a float array of one shape.
+
+    A single order must be integral and is broadcast to ``x``'s shape; an
+    order array must hold integers and match it.  Negative orders fold
+    onto positive ones through I_{-n} = I_n, K_{-n} = K_n.
+    """
     x = np.asarray(x, dtype=float)
     if np.ndim(n) == 0:
         if n != int(n):
             raise ValueError(f"order must be an integer, got {n!r}")
+        n = np.full(x.shape, int(n))
     elif np.asarray(n).dtype.kind not in "iu" or np.shape(n) != x.shape:
         raise ValueError("an order array must hold integers and match the "
                          "argument's shape")
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("argument must be finite and strictly positive")
-    return x
+    return np.abs(n).astype(int, copy=False), x
 
 
 def _log_ik_debye(n, x: np.ndarray):
     r"""(ln i_n, ln k_n, ln i_n', ln |k_n'|) from the uniform expansions.
 
-    ``n`` is one order or an int array of orders matching ``x``.
-    With :math:`z = x/n`, :math:`t = (1+z^2)^{-1/2}` and the phase
+    ``n`` is an int array of orders matching ``x``.  With :math:`z = x/n`,
+    :math:`t = (1+z^2)^{-1/2}` and the phase
     :math:`\eta = \sqrt{1+z^2} + \ln(z / (1 + \sqrt{1+z^2}))`,
 
     .. math::
@@ -196,28 +206,22 @@ def _log_ik_debye(n, x: np.ndarray):
     :math:`\tfrac12 \ln(\pi/2n)` as constant.  The combination
     :math:`\eta - z` is formed once, from ``1/(hypot(1,z)+z) -
     asinh(1/z)`` to avoid cancellation at large ``z``; all four series
-    are evaluated together by one Horner pass in :math:`t^2`.  An order
-    array has its series rows and constants formed once per distinct
-    order; each Horner step gathers its coefficients per point from that
-    table, so each point's arithmetic is that of its order alone and no
+    are evaluated together by one Horner pass in :math:`t^2`.  The series
+    rows and constants are formed once per distinct order; each Horner
+    step gathers its coefficients per point from that table, so each
+    point's arithmetic is that of its order alone and no
     (rows x terms x points) array is formed.
     """
-    if np.ndim(n) == 0:
-        nu = float(n)
-        table, c_i, c_k = _debye_constants(n)
-        table = table[..., None]
-        where = np.zeros((1,) * x.ndim, dtype=int)
-    else:
-        # the distinct orders and each point's index among them, unsorted
-        offset = n - n.min()
-        present = np.bincount(offset.ravel()) > 0
-        where = (np.cumsum(present) - 1)[offset]
-        distinct = np.flatnonzero(present) + n.min()
-        rows, c_i, c_k = zip(*map(_debye_constants, distinct.tolist()))
-        nu = n.astype(float)
-        table = np.stack(rows, axis=-1)
-        c_i = np.array(c_i)[where]
-        c_k = np.array(c_k)[where]
+    # the distinct orders and each point's index among them, unsorted
+    offset = n - n.min()
+    present = np.bincount(offset.ravel()) > 0
+    where = (np.cumsum(present) - 1)[offset]
+    distinct = np.flatnonzero(present) + n.min()
+    rows, c_i, c_k = zip(*map(_debye_constants, distinct.tolist()))
+    nu = n.astype(float)
+    table = np.stack(rows, axis=-1)
+    c_i = np.array(c_i)[where]
+    c_k = np.array(c_k)[where]
     z = x / nu
     hyp = np.hypot(1.0, z)
     t = 1.0 / hyp
@@ -243,33 +247,33 @@ def _scaled_k_upward(n, x: np.ndarray):
 
     :math:`k_{j+1} = k_{j-1} + (2j/x)\,k_j` (DLMF 10.29.1; the factor
     :math:`e^{x}` is common to every term) is stable upward, since
-    :math:`K_j` grows with j.  An order array recurs to its highest order
-    and each point picks its own pair; the recurrence is elementwise, so
-    each point's values are those of a one-order call.  A value that
-    leaves the double range becomes ``inf`` without a warning.
+    :math:`K_j` grows with j.  The order array ``n`` matches ``x``; the
+    recurrence runs to its highest order and each point picks its own
+    pair.  It is elementwise, so each point's values do not depend on the
+    other orders.  A value that leaves the double range becomes ``inf``
+    without a warning.
     """
-    top = max(int(np.max(n)), 1)
+    top = max(int(n.max()), 1)
     k = np.empty((top + 1,) + x.shape)
     k[0] = _sp.k0e(x)
     k[1] = _sp.k1e(x)
     with np.errstate(over="ignore"):
         for j in range(1, top):
             k[j + 1] = k[j - 1] + (2.0 * j / x) * k[j]
-    if np.ndim(n) == 0:
-        return k[abs(n - 1)], k[n]
-    points = np.indices(x.shape, sparse=True)
-    return k[(np.abs(n - 1), *points)], k[(n, *points)]
+    # each point's pair from the flattened (order, point) table
+    point = np.arange(x.size).reshape(x.shape)
+    k = k.reshape(-1)
+    return k[np.abs(n - 1) * x.size + point], k[n * x.size + point]
 
 
 def _log_ik_scipy(n, x: np.ndarray):
     """(ln i_n, ln k_n, ln i_n', ln |k_n'|) from one ``ive`` call and k.
 
-    ``n`` is one order or an int array of orders matching ``x``.  The
-    ``ive`` call takes orders ``n, n+1``; the K pair ``|n-1|, n`` comes
-    from :func:`_scaled_k_upward`.
+    ``n`` is an int array of orders matching ``x``.  The ``ive`` call
+    takes orders ``n, n+1``; the K pair ``|n-1|, n`` comes from
+    :func:`_scaled_k_upward`.
     """
-    pair = np.stack((n, n + 1))
-    iv = _sp.ive(pair.reshape(pair.shape + (1,) * (x.ndim + 1 - pair.ndim)), x)
+    iv = _sp.ive(np.add.outer((0, 1), n), x)
     k_below, k_n = _scaled_k_upward(n, x)
     n_over_x = n / x
     with np.errstate(over="ignore"):
@@ -278,24 +282,19 @@ def _log_ik_scipy(n, x: np.ndarray):
         bad = (iv <= 0.0).any(axis=0) | ~np.isfinite(kprime)
         raise OverflowError(
             "scaled Bessel pair left the double range at order "
-            f"{np.broadcast_to(n, x.shape)[bad].max()}"
+            f"{n[bad].max()}"
         )
     return (np.log(iv[0]), np.log(k_n),
             np.log(iv[1] + n_over_x * iv[0]), np.log(kprime))
 
 
-def _pair_logs(n, x: np.ndarray, regime_order: int | None = None):
+def _pair_logs(n, x: np.ndarray):
     """Return (log i_n, log k_n, log i_n', log |k_n'|) at orders n >= 0.
 
-    ``n`` is one order or an int array matching ``x``; each point takes
-    the regime of its order, or that of the scalar ``regime_order``.
+    ``n`` is an int array matching ``x``; each point takes the regime of
+    its order.
     """
-    sel = n if regime_order is None else regime_order
-    if np.ndim(sel) == 0:
-        if sel <= _SCIPY_ORDER_MAX:
-            return _log_ik_scipy(n, x)
-        return _log_ik_debye(n, x)
-    small = sel <= _SCIPY_ORDER_MAX
+    small = n <= _SCIPY_ORDER_MAX
     if small.all():
         return _log_ik_scipy(n, x)
     if not small.any():
@@ -304,15 +303,6 @@ def _pair_logs(n, x: np.ndarray, regime_order: int | None = None):
     logs[:, small] = _log_ik_scipy(n[small], x[small])
     logs[:, ~small] = _log_ik_debye(n[~small], x[~small])
     return tuple(logs)
-
-
-def _log_ik(n: int, x: np.ndarray, *, regime_order: int | None = None):
-    """Logs of (i_n, k_n) alone, through the regime of ``regime_order``.
-
-    ``regime_order`` lets the tests evaluate one order through either
-    regime to compare them on their overlap.
-    """
-    return _pair_logs(n, x, regime_order)[:2]
 
 
 def _checked_exp(log_value, what: str):
@@ -397,13 +387,12 @@ def scaled_modified_bessel(n: int, x: float) -> ScaledBesselPair:
     -------
     ScaledBesselPair
     """
-    xa = _validate_order_argument(n, x)
+    na, xa = _validate_order_argument(n, x)
     if xa.ndim != 0:
         raise ValueError("scaled_modified_bessel expects a scalar argument")
-    n = abs(int(n))
-    log_i, log_k, log_iprime, log_kprime = _pair_logs(n, xa)
+    log_i, log_k, log_iprime, log_kprime = _pair_logs(na, xa)
     return ScaledBesselPair(
-        order=n,
+        order=int(na),
         argument=float(xa),
         log_i=float(log_i),
         log_k=float(log_k),
@@ -415,8 +404,8 @@ def scaled_modified_bessel(n: int, x: float) -> ScaledBesselPair:
 def _ratio_logs(n, y: np.ndarray, ratio: float):
     """Both log-ratios for a 1-d ``y``, and the four logs at ``ratio * y``."""
     m = len(y)
-    orders = abs(int(n)) if np.ndim(n) == 0 else np.tile(np.abs(n), 2)
-    li, lk, lip, lkp = _pair_logs(orders, np.concatenate((y, ratio * y)))
+    li, lk, lip, lkp = _pair_logs(np.concatenate((n, n)),
+                                  np.concatenate((y, ratio * y)))
     damping = -2.0 * y * (ratio - 1.0)
     lrd = damping + (li[:m] - li[m:]) + (lk[m:] - lk[:m])
     lrn = damping + (lip[:m] - lip[m:]) + (lkp[m:] - lkp[:m])
@@ -443,7 +432,7 @@ def reflection_ratio_logs(n, y, ratio: float):
     ``ratio * y`` go to the Bessel kernel as one array, and its four logs
     at each argument are shared between the two ratios.
     """
-    y, ratio, scalar = _validate_ratio_args(n, y, ratio)
+    n, y, ratio, scalar = _validate_ratio_args(n, y, ratio)
     lrd, lrn, _ = _ratio_logs(n, y, ratio)
     if scalar:
         return lrd.item(), lrn.item()
@@ -473,7 +462,7 @@ def reflection_ratio_logs_dalpha(n, y, ratio: float):
     straight from differences of the scaled logs.  Both derivatives are
     negative.
     """
-    y, ratio, scalar = _validate_ratio_args(n, y, ratio)
+    n, y, ratio, scalar = _validate_ratio_args(n, y, ratio)
     lrd, lrn, (li, lk, lip, lkp) = _ratio_logs(n, y, ratio)
     x = ratio * y
     d_lrd = -y * (np.exp(lkp - lk) + np.exp(lip - li))
@@ -484,7 +473,7 @@ def reflection_ratio_logs_dalpha(n, y, ratio: float):
 
 
 def _validate_ratio_args(n, y, ratio):
+    """1-d arrays of |n| and y, the checked ratio, and whether y is a scalar."""
     ratio = _validate_ratio(ratio)
-    scalar = np.isscalar(y) or getattr(y, "ndim", 0) == 0
-    ya = _validate_order_argument(n, y)
-    return np.atleast_1d(ya), ratio, scalar
+    n, ya = _validate_order_argument(n, y)
+    return np.atleast_1d(n), np.atleast_1d(ya), ratio, np.ndim(y) == 0

@@ -148,6 +148,25 @@ def test_energy_non_convergence_exits_numerical(capsys):
     assert "did not converge" in payload["error"]
 
 
+def test_sweep_non_convergence_exits_numerical(capsys):
+    code, out = run_cli(
+        capsys, "sweep", "--alpha-min", "1.1", "--alpha-max", "1.2",
+        "--steps", "2", "--order-cap", "2", "--workers", "1",
+    )
+    assert code == 3
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert header[-1] == "status"
+    assert [row[-1] for row in rows] == ["unconverged", "unconverged"]
+
+
+def test_fit_p_non_convergence_names_the_ratios(capsys):
+    code, payload = run_json(capsys, "fit-p", "--order-cap", "2",
+                             "--workers", "1")
+    assert code == 3
+    assert payload["error"] == (
+        "mode sums did not converge at alpha 1.5, 2.0, 2.5, 3.0")
+
+
 def test_sweep_csv_structure(capsys, tmp_path):
     out_file = tmp_path / "sweep.csv"
     code, _ = run_cli(
@@ -456,6 +475,7 @@ def test_fit_p_pressure_mode_reports_best_exponent(capsys):
         capsys, "fit-p", "--mode", "pressure", "--workers", "1",
     )
     assert code == 0
+    assert "error" not in payload
     assert 0.4 <= payload["best_exponent"] <= 0.6
     assert payload["flat"] is False
     assert len(payload["objective_curve"]) > 10

@@ -30,6 +30,8 @@ from coaxcasimir import (
     log_mode_factor_dalpha,
     pressure_inner,
     pressure_inner_si,
+    reflection_ratio_logs,
+    reflection_ratio_logs_dalpha,
 )
 
 # oracle pins: reduced interaction energy at four radius ratios
@@ -125,6 +127,24 @@ def test_log_mode_factor_vectorizes():
     assert out.shape == y.shape
     assert out[1] == log_mode_factor(2, 1.0, 1.8)
     assert np.all(out < 0.0)
+
+
+@pytest.mark.parametrize("function", [
+    log_mode_factor, log_mode_factor_dalpha,
+    reflection_ratio_logs, reflection_ratio_logs_dalpha,
+])
+@pytest.mark.parametrize("container", [list, tuple])
+def test_sequence_argument_equals_its_array(function, container):
+    """A list or tuple y gives, bit for bit, the result for its array."""
+    y = [1.0, 2.0, 45.0]
+    got = function(2, container(y), 1.5)
+    expected = function(2, np.asarray(y), 1.5)
+    if not isinstance(expected, tuple):
+        got, expected = (got,), (expected,)
+    assert len(got) == len(expected)
+    for value, want in zip(got, expected):
+        assert isinstance(value, np.ndarray) and value.shape == (3,)
+        np.testing.assert_array_equal(value, want)
 
 
 def test_log_mode_factor_finite_at_extremes():

@@ -18,7 +18,6 @@ from coaxcasimir.specfun import (
     _SCIPY_ORDER_MAX,
     _UK,
     _VK,
-    _log_ik,
     _log_ik_debye,
     _log_ik_scipy,
     _pair_logs,
@@ -101,6 +100,11 @@ log_x = st.floats(min_value=-3.0, max_value=4.0)
 orders = st.integers(min_value=0, max_value=200)
 
 
+def order_like(n, x):
+    """The order array the private kernels take: ``n`` at every point."""
+    return np.full(np.shape(x), n)
+
+
 def test_small_order_values_match_oracle():
     pair = scaled_modified_bessel(0, 1.0)
     i, k, ip, kp = PAIR_0_1
@@ -149,7 +153,7 @@ def test_k_recurrence_matches_scipy_kve():
     """The upward recurrence from k0e/k1e against AMOS kve, both orders."""
     x = np.geomspace(1e-2, 1e3, 200)
     for n in range(_SCIPY_ORDER_MAX + 1):
-        k_below, k_n = _scaled_k_upward(n, x)
+        k_below, k_n = _scaled_k_upward(order_like(n, x), x)
         np.testing.assert_allclose(k_below, special.kve(abs(n - 1), x),
                                    rtol=1e-13)
         np.testing.assert_allclose(k_n, special.kve(n, x), rtol=1e-13)
@@ -161,9 +165,10 @@ def test_k_overflow_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="order 40"):
-            _log_ik_scipy(40, np.array([1e-8]))
+            _log_ik_scipy(np.array([40]), np.array([1e-8]))
         block = _log_ik_scipy(np.array([1, 40]), np.array([1e-8, 1.0]))
-    for log_value, alone in zip(block, _log_ik_scipy(1, np.array([1e-8]))):
+    single = _log_ik_scipy(np.array([1]), np.array([1e-8]))
+    for log_value, alone in zip(block, single):
         assert np.isfinite(log_value).all()
         assert log_value[0] == alone[0]
 
@@ -175,7 +180,7 @@ def test_k_overflow_raises_without_warning():
 )
 @pytest.mark.parametrize("x", [np.asarray(2.5), np.array([0.7, 2.5, 30.0])])
 def test_kernels_return_four_logs_shaped_like_argument(kernel, n, x):
-    logs = kernel(n, x)
+    logs = kernel(order_like(n, x), x)
     assert len(logs) == 4
     for log_value in logs:
         assert np.shape(log_value) == x.shape
@@ -214,8 +219,8 @@ def test_regime_overlap(n, lx):
     which test_unscaled_accessors_raise_outside_double_range covers).
     """
     x = np.asarray(10.0**lx)
-    li_d, lk_d = _log_ik(n, x, regime_order=0)
-    li_a, lk_a = _log_ik(n, x, regime_order=_SCIPY_ORDER_MAX + 1)
+    li_d, lk_d = _log_ik_scipy(order_like(n, x), x)[:2]
+    li_a, lk_a = _log_ik_debye(order_like(n, x), x)[:2]
     assert float(li_a) == pytest.approx(float(li_d), rel=1e-10, abs=1e-10)
     assert float(lk_a) == pytest.approx(float(lk_d), rel=1e-10, abs=1e-10)
 
@@ -302,7 +307,7 @@ def test_order_array_kernels_equal_one_order_calls(kernel):
     for orders, args in cases:
         got = kernel(orders, args)
         for j, (n, x) in enumerate(zip(orders.tolist(), args)):
-            alone = kernel(n, args[j:j + 1])
+            alone = kernel(np.array([n]), args[j:j + 1])
             for log_value, expected in zip(got, alone):
                 assert log_value[j] == expected[0], (kernel.__name__, n, x)
 
@@ -315,6 +320,17 @@ def test_order_array_ratios_equal_one_order_calls():
         alone = reflection_ratio_logs_dalpha(n, SEAM_ARGS[mine], 1.3)
         for log_value, expected in zip(got, alone):
             np.testing.assert_array_equal(log_value[mine], expected)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+def test_order_array_of_any_integer_type_equals_int_orders(dtype):
+    """Order 0 included: the K pair's order |n - 1| must not wrap."""
+    n = np.array([0, 1, 40, 41, 200])
+    y = np.geomspace(0.5, 40.0, n.size)
+    got = reflection_ratio_logs_dalpha(n.astype(dtype), y, 1.3)
+    want = reflection_ratio_logs_dalpha(n, y, 1.3)
+    for log_value, expected in zip(got, want):
+        np.testing.assert_array_equal(log_value, expected)
 
 
 def test_order_array_must_hold_integers_matching_the_argument():
