@@ -271,9 +271,7 @@ def _sweep_row(alpha: float, names=(), prox_exponent=None,
     row: dict = {"alpha": alpha}
     if "energy" in names:
         row["interaction_energy"] = energy.value
-        row["interaction_energy_err"] = (
-            energy.quad_error + energy.truncation_error
-        )
+        row["interaction_energy_err"] = energy.error
     if "total" in names:
         row["total_energy"] = _total_energy(energy.value, alpha)
     if "pressure" in names:
@@ -356,7 +354,7 @@ def _cmd_energy(args) -> int:
     payload = {
         "alpha": alpha,
         "interaction_energy": result.value,
-        "interaction_energy_err": result.quad_error + result.truncation_error,
+        "interaction_energy_err": result.error,
         "total_energy": _total_energy(result.value, alpha),
         "order_max": result.order_max,
         "converged": result.converged,
@@ -417,12 +415,6 @@ def _cmd_fit_p(args) -> int:
 
 
 def _cmd_eccentric(args) -> int:
-    if (args.mass is None) != (args.angular_frequency is None):
-        raise ValueError(
-            "give both --mass and --angular-frequency or neither")
-    resonator = None
-    if args.mass is not None:
-        resonator = ResonatorParams(args.mass, args.angular_frequency)
     base = ConcentricGeometry(args.inner_radius, args.outer_radius,
                               args.length)
     gap = base.outer_radius - base.inner_radius
@@ -441,16 +433,13 @@ def _cmd_eccentric(args) -> int:
             rel_diff = math.inf
         else:
             rel_diff = abs(numeric - closed) / abs(closed)
-        row = {
+        rows.append({
             "offset_fraction": fraction,
             "force_numeric": numeric,
             "force_closed_form": closed,
             "rel_diff": rel_diff,
-        }
-        if resonator is not None:
-            row["freq_shift"] = frequency_shift(geom, resonator)
-        row["status"] = "ok" if force.converged else "unconverged"
-        rows.append(row)
+            "status": "ok" if force.converged else "unconverged",
+        })
     return _emit_rows(args, rows, {
         "inner_radius": args.inner_radius,
         "outer_radius": args.outer_radius,
@@ -550,8 +539,6 @@ _COMMANDS = {
         _LENGTH,
         _Opt("offset_fractions", _number_list, "0,0.1,0.2,0.3,0.4,0.5",
              check=(bool, "offset_fractions must be non-empty")),
-        _Opt("mass", float),
-        _Opt("angular_frequency", float),
         _ROWS_FORMAT,
         *_QUAD_OPTS,
     )),

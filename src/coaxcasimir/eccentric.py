@@ -37,7 +37,15 @@ closed form for general offset is
 which diverges like ``(smallest gap)^(-7/2)`` toward contact.  The
 numeric and closed-form routes are kept as mutually checking
 implementations; their residual shrinks as the radii approach each
-other.  All lengths are in meters, energies in joules, forces in
+other.
+
+One helper forms r(θ), its square root and the area element for
+:func:`gap_radius` and both integrands.  :func:`eccentric_energy` and
+:func:`eccentric_force_numeric` return the θ-integral's
+:class:`~.quadrature.QuadratureResult` scaled to joules or newtons, so
+a quadrature that missed its tolerance shows as ``converged=False``,
+not as a warning.  :func:`frequency_shift` depends on the concentric
+base alone.  All lengths are in meters, energies in joules, forces in
 newtons.
 """
 
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +64,6 @@ __all__ = [
     "EccentricGeometry",
     "ResonatorParams",
     "gap_radius",
-    "effective_area_element",
     "eccentric_energy",
     "eccentric_force_numeric",
     "eccentric_force_closed_form",
@@ -117,6 +124,21 @@ class ResonatorParams:
                 raise ValueError(f"{name} must be finite")
 
 
+def _gap(theta, a: float, b: float, offset: float):
+    """sin θ, cos²θ, sqrt(b² - offset² cos²θ), r(θ) and g at ``theta``.
+
+    ``g = sqrt(ab + offset a sin θ)`` is the area element per unit
+    length and radian: the geometric mean of the two facing surface
+    elements.
+    """
+    sin = np.sin(theta)
+    cos2 = np.cos(theta) ** 2
+    root = np.sqrt(b**2 - offset**2 * cos2)
+    r = root + offset * sin
+    g = np.sqrt(a * b + offset * a * sin)
+    return sin, cos2, root, r, g
+
+
 def gap_radius(theta, outer_radius: float, offset: float):
     """Distance from the inner axis to the outer wall along direction theta.
 
@@ -127,21 +149,7 @@ def gap_radius(theta, outer_radius: float, offset: float):
     if not abs(offset) < outer_radius:
         raise ValueError("|offset| must be smaller than the outer radius")
     theta = np.asarray(theta, dtype=float)
-    root = np.sqrt(outer_radius**2 - (offset * np.cos(theta)) ** 2)
-    out = root + offset * np.sin(theta)
-    return float(out) if out.ndim == 0 else out
-
-
-def effective_area_element(theta, geom: EccentricGeometry):
-    """Local gap area per radian, ``L sqrt(ab + offset a sin theta)``.
-
-    The geometric mean of the two facing surface elements; reduces to
-    ``L sqrt(ab)`` when the axes coincide.
-    """
-    a = geom.base.inner_radius
-    b = geom.base.outer_radius
-    theta = np.asarray(theta, dtype=float)
-    out = geom.base.length * np.sqrt(a * b + geom.axis_offset * a * np.sin(theta))
+    out = _gap(theta, 0.0, outer_radius, offset)[3]
     return float(out) if out.ndim == 0 else out
 
 
@@ -156,19 +164,18 @@ def _warn_near_contact(a: float, b: float, offset: float) -> None:
 
 
 def _energy_integral(a: float, b: float, offset: float,
-                     spec: QuadratureSpec):
-    """∫ sqrt(ab + offset*a*sin θ) / (r(θ) - a)^3 dθ over one period."""
+                     spec: QuadratureSpec) -> QuadratureResult:
+    """∫ g / (r(θ) - a)^3 dθ over one period, ``g`` as in :func:`_gap`."""
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        r = gap_radius(theta, b, offset)
-        g = np.sqrt(a * b + offset * a * np.sin(theta))
+        _, _, _, r, g = _gap(theta, a, b, offset)
         return g / (r - a) ** 3
 
     return integrate_finite(integrand, 0.0, _TWO_PI, spec)
 
 
 def _force_integral(a: float, b: float, offset: float,
-                    spec: QuadratureSpec):
+                    spec: QuadratureSpec) -> QuadratureResult:
     """θ-integral of d/d(offset) of the energy integrand, in closed form.
 
     The force is -dE/d(offset) and E carries a negative prefactor times
@@ -180,11 +187,7 @@ def _force_integral(a: float, b: float, offset: float,
     """
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        sin = np.sin(theta)
-        cos2 = np.cos(theta) ** 2
-        root = np.sqrt(b**2 - offset**2 * cos2)
-        r = root + offset * sin
-        g = np.sqrt(a * b + offset * a * sin)
+        sin, cos2, root, r, g = _gap(theta, a, b, offset)
         dr = sin - offset * cos2 / root
         dg = a * sin / (2.0 * g)
         gap3 = (r - a) ** 3
@@ -194,22 +197,23 @@ def _force_integral(a: float, b: float, offset: float,
 
 
 def eccentric_energy(geom: EccentricGeometry,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
+                     spec: QuadratureSpec = QuadratureSpec()
+                     ) -> QuadratureResult:
     """Proximity energy of the offset pair, in joules.
 
-    Strictly decreases (grows more negative) as the offset increases at
-    fixed radii; at zero offset it equals the concentric geometric-mean
-    proximity energy.  Warns within 0.1% of contact, where the integrand
-    is nearly singular.
+    Returns the gap integral's record scaled to joules: ``value`` is the
+    energy, ``error_estimate`` its bound, and ``converged`` says whether
+    the quadrature met its tolerance.  The energy strictly decreases
+    (grows more negative) as the offset increases at fixed radii; at
+    zero offset it equals the concentric geometric-mean proximity
+    energy.  Warns within 0.1% of contact, where the integrand is nearly
+    singular.
     """
     a = geom.base.inner_radius
     b = geom.base.outer_radius
     _warn_near_contact(a, b, geom.axis_offset)
     part = _energy_integral(a, b, geom.axis_offset, spec)
-    if not part.converged:
-        warnings.warn("gap quadrature did not converge", stacklevel=2)
-    coeff = -math.pi**2 * HBAR_C * geom.base.length / 720.0
-    return coeff * part.value
+    return part.scaled(-math.pi**2 * HBAR_C * geom.base.length / 720.0)
 
 
 def eccentric_force_numeric(geom: EccentricGeometry,
@@ -220,9 +224,8 @@ def eccentric_force_numeric(geom: EccentricGeometry,
     Minus the offset-derivative of :func:`eccentric_energy`, with the
     derivative taken inside the integral in closed form and the single
     remaining θ-integral done numerically.  Returns that integral's
-    record scaled to newtons: ``value`` is the force, ``error_estimate``
-    its bound, and ``converged`` says whether the quadrature met its
-    tolerance.  At zero offset the integrand is proportional to sin θ
+    record scaled to newtons, as :func:`eccentric_energy` does in
+    joules.  At zero offset the integrand is proportional to sin θ
     over a full period, so the force is exactly 0.0, without quadrature.
     """
     a = geom.base.inner_radius
@@ -231,11 +234,7 @@ def eccentric_force_numeric(geom: EccentricGeometry,
         return QuadratureResult(0.0, 0.0, 0, True)
     _warn_near_contact(a, b, geom.axis_offset)
     part = _force_integral(a, b, geom.axis_offset, spec)
-    if not part.converged:
-        warnings.warn("gap quadrature did not converge", stacklevel=2)
-    coeff = math.pi**2 * HBAR_C * geom.base.length / 720.0
-    return replace(part, value=coeff * part.value,
-                   error_estimate=coeff * part.error_estimate)
+    return part.scaled(math.pi**2 * HBAR_C * geom.base.length / 720.0)
 
 
 def force_scale(geom: EccentricGeometry) -> float:

@@ -89,6 +89,8 @@ from .approx import _validate_ratio as _check_ratio
 from .specfun import reflection_ratio_logs, reflection_ratio_logs_dalpha
 
 __all__ = [
+    "DEFAULT_NUMERICS",
+    "ORACLE_NUMERICS",
     "HBAR_C",
     "SELF_ENERGY_COEFF",
     "ConcentricGeometry",
@@ -209,6 +211,11 @@ class EnergyResult:
     quad_converged: bool
 
     @property
+    def error(self) -> float:
+        """The error bound: quadrature plus angular truncation."""
+        return self.quad_error + self.truncation_error
+
+    @property
     def converged(self) -> bool:
         return self.quad_converged and not self.order_capped
 
@@ -218,7 +225,7 @@ class PressureResult:
     """Dimensionless pressure with the two mode sums it came from.
 
     ``value`` is ``2 e + alpha e'``; ``error`` bounds it by
-    ``2 (quad + truncation)_e + alpha (quad + truncation)_e'``.
+    ``2 error_e + alpha error_e'`` (see :attr:`EnergyResult.error`).
     ``energy_result`` is the energy sum, identical to
     :func:`interaction_energy` at the same ratio and numerics, and
     ``derivative_result`` the sum for e'.
@@ -398,19 +405,15 @@ def _mode_sum(factor, ratio: float, cfg: NumericsConfig) -> EnergyResult:
     qspec = replace(cfg.quad, tail_cut=1.0 / (ratio - 1.0))
     inv_4pi = 1.0 / (4.0 * math.pi)
 
-    def scaled(part):
-        return replace(part,
-                       value=part.value * inv_4pi,
-                       error_estimate=part.error_estimate * inv_4pi)
-
     def parts():
         # n = 0 alone: one integral is bit for bit a batch of one.
-        yield scaled(integrate_semi_infinite(
-            lambda y: y * factor(0, y, ratio), qspec))
+        yield integrate_semi_infinite(
+            lambda y: y * factor(0, y, ratio), qspec).scaled(inv_4pi)
         for orders in _order_blocks(cfg.order_cap):
-            yield from map(scaled, integrate_semi_infinite_batch(
-                lambda y, which: y * factor(orders[which], y, ratio),
-                len(orders), qspec))
+            for part in integrate_semi_infinite_batch(
+                    lambda y, which: y * factor(orders[which], y, ratio),
+                    len(orders), qspec):
+                yield part.scaled(inv_4pi)
 
     return _order_contributions(cfg, parts())
 
@@ -477,12 +480,9 @@ def interaction_energy_double_integral(
             return np.array([part.value for part in parts])
 
         part = integrate_semi_infinite(outer, qspec)
-        return type(part)(
-            value=prefactor * part.value,
-            error_estimate=abs(prefactor) * part.error_estimate,
-            evaluations=evaluations + part.evaluations,
-            converged=part.converged and all_ok,
-        )
+        return replace(part.scaled(prefactor),
+                       evaluations=evaluations + part.evaluations,
+                       converged=part.converged and all_ok)
 
     return _order_contributions(cfg,
                                 map(term, range(cfg.order_cap + 1)))
@@ -514,17 +514,16 @@ def pressure_inner(ratio: float,
     computes it, and e' from the closed-form alpha-derivative of the
     mode factor (:func:`log_mode_factor_dalpha`) through the same
     quadrature and stopping rule.  ``error`` is the bound
-    ``2 (quad + truncation)_e + alpha (quad + truncation)_e'``, and the
-    result converged when both sums did.
+    ``2 error_e + alpha error_e'``, and the result converged when both
+    sums did.
     """
-    ratio = _validate_ratio(ratio)
+    # only the domain check here: the energy call warns near unity
+    ratio = _check_ratio(ratio)
     energy = interaction_energy(ratio, cfg)
     derivative = _mode_sum(log_mode_factor_dalpha, ratio, cfg)
     return PressureResult(
         value=2.0 * energy.value + ratio * derivative.value,
-        error=float(2.0 * (energy.quad_error + energy.truncation_error)
-                    + ratio * (derivative.quad_error
-                               + derivative.truncation_error)),
+        error=float(2.0 * energy.error + ratio * derivative.error),
         energy_result=energy,
         derivative_result=derivative,
     )

@@ -110,6 +110,11 @@ class QuadratureResult:
     evaluations: int
     converged: bool
 
+    def scaled(self, factor: float) -> QuadratureResult:
+        """The record with ``value`` times ``factor``, error times its size."""
+        return replace(self, value=self.value * factor,
+                       error_estimate=self.error_estimate * abs(factor))
+
 
 def _tree_sum(p: np.ndarray) -> np.ndarray:
     """Sum over the 16 rows of ``p`` as a fixed pairwise tree."""

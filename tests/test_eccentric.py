@@ -5,6 +5,7 @@ The two frozen theta-integrals were generated by ``tests/oracles.py``
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_force_integral_matches_oracle():
 def test_energy_carries_proximity_prefactor():
     geom = EccentricGeometry(BASE, 0.05)
     expected = -math.pi**2 * HBAR_C * 1.0 / 720.0 * ENERGY_INTEGRAL_PIN
-    assert eccentric_energy(geom) == pytest.approx(expected, rel=1e-10)
+    assert eccentric_energy(geom).value == pytest.approx(expected, rel=1e-10)
 
 
 def test_force_carries_positive_prefactor():
@@ -70,7 +71,7 @@ def test_concentric_energy_matches_geometric_mean_proximity():
     geom = EccentricGeometry(BASE, 0.0)
     reduced = proximity_energy(BASE.ratio, 0.5)
     expected = reduced * HBAR_C * BASE.length / BASE.inner_radius**2
-    assert eccentric_energy(geom) == pytest.approx(expected, rel=1e-9)
+    assert eccentric_energy(geom).value == pytest.approx(expected, rel=1e-9)
 
 
 def test_integrals_have_definite_parity_in_offset():
@@ -91,8 +92,8 @@ def test_force_equals_minus_energy_gradient(fraction):
     offset = fraction * gap
     h = 1e-6 * gap
     de = (
-        eccentric_energy(EccentricGeometry(base, offset + h))
-        - eccentric_energy(EccentricGeometry(base, offset - h))
+        eccentric_energy(EccentricGeometry(base, offset + h)).value
+        - eccentric_energy(EccentricGeometry(base, offset - h)).value
     ) / (2.0 * h)
     force = eccentric_force_numeric(EccentricGeometry(base, offset)).value
     assert force == pytest.approx(-de, rel=1e-6)
@@ -100,11 +101,22 @@ def test_force_equals_minus_energy_gradient(fraction):
 
 def test_energy_deepens_with_offset():
     energies = [
-        eccentric_energy(EccentricGeometry(BASE, f * 0.1))
+        eccentric_energy(EccentricGeometry(BASE, f * 0.1)).value
         for f in (0.0, 0.2, 0.4, 0.6)
     ]
     assert all(e < 0.0 for e in energies)
     assert energies == sorted(energies, reverse=True)
+
+
+def test_unconverged_quadrature_is_a_flag_not_a_warning():
+    geom = EccentricGeometry(BASE, 0.9 * 0.1)
+    spec = QuadratureSpec(max_subdivisions=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy = eccentric_energy(geom, spec)
+        force = eccentric_force_numeric(geom, spec)
+    assert not energy.converged and not force.converged
+    assert energy.value < 0.0 < force.value
 
 
 def test_closed_form_ratio_at_half_offset():

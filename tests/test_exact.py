@@ -6,6 +6,7 @@ took the ``--slow`` path of that script.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -289,6 +290,14 @@ def test_energy_result_reports_capped_order_sum():
     assert result.order_capped
     assert not result.converged
     assert result.truncation_error > 0.0
+
+
+def test_pressure_warns_once_near_unity():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pressure_inner(1.0005, NumericsConfig(order_cap=3))
+    slow = [w for w in caught if "converges very slowly" in str(w.message)]
+    assert len(slow) == 1
 
 
 def test_pressure_carries_energy_diagnostics():

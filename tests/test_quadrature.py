@@ -16,6 +16,7 @@ from hypothesis import example, given, strategies as st
 from scipy.special import sici
 
 from coaxcasimir import (
+    QuadratureResult,
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
@@ -118,6 +119,11 @@ def test_results_are_deterministic():
     first = integrate_semi_infinite(f)
     second = integrate_semi_infinite(f)
     assert first == second
+
+
+def test_scaled_record_scales_value_and_error_size():
+    part = QuadratureResult(2.5, 0.25, 45, False)
+    assert part.scaled(-3.0) == QuadratureResult(-7.5, 0.75, 45, False)
 
 
 def test_budget_exhaustion_reports_non_convergence():
