@@ -75,6 +75,8 @@ reaches past ``order_cap``.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -250,13 +252,26 @@ class PressureResult:
                 and self.derivative_result.converged)
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that names the first frame outside this package,
+    for a warning raised by this function's caller."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(
+            _PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _validate_ratio(ratio: float) -> float:
     ratio = _check_ratio(ratio)
     if ratio - 1.0 < 1e-3:
         warnings.warn(
             "radius ratio within 1e-3 of unity: quadrature panel widths "
             "blow up as 1/(ratio-1) and the mode sum converges very slowly",
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
     return ratio
 

@@ -207,6 +207,9 @@ def main():
     for label, cases in (
         ("SciPy-regime logs at its highest order",
          ((40, 0.01), (40, 1.0), (40, 300.0))),
+        ("SciPy-regime logs at small arguments, orders 28-40",
+         ((28, 0.04), (30, 0.022), (34, 0.01), (36, 0.022), (39, 0.016),
+          (40, 0.014))),
         ("large-order expansion logs at the extremes of t",
          ((1000, 1.0), (200, 100.0), (41, 1000.0))),
     ):

@@ -287,6 +287,8 @@ def test_eccentric_routes_agree_and_tighten_toward_contact_limit():
 # ----------------------------------------------------------------------
 
 def test_wronskian_identity_on_dense_grid():
+    """Partly constructive up to order 40, where the kernel builds i_n
+    from the Wronskian; the mpmath pins in test_specfun check i_n."""
     xs = np.geomspace(1e-3, 1e4, 40)
     worst = 0.0
     for n in range(0, 201):

@@ -300,6 +300,15 @@ def test_pressure_warns_once_near_unity():
     assert len(slow) == 1
 
 
+@pytest.mark.parametrize("call", [interaction_energy, pressure_inner])
+def test_near_unity_warning_names_the_callers_file(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(1.0005, NumericsConfig(order_cap=3))
+    slow = [w for w in caught if "converges very slowly" in str(w.message)]
+    assert [w.filename for w in slow] == [__file__]
+
+
 def test_pressure_carries_energy_diagnostics():
     result = pressure_inner(2.0)
     assert result.energy == pytest.approx(ENERGY_AT_2, rel=1e-9)

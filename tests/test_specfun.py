@@ -92,6 +92,47 @@ SCIPY_TOP_ORDER_LOGS = {
         0.04226274702327950983645,
     ),
 }
+# oracle pins: the same logs at small arguments and orders 28-40, where
+# ``ive`` errs most (up to 8e-14 relative in i) and I_n now comes from
+# the Wronskian
+SCIPY_SMALL_ARGUMENT_LOGS = {
+    (28, 0.04): (
+        -177.4663734960693465928,
+        173.4410207836238807356,
+        -170.9152921758052053688,
+        179.9921021768671807325,
+    ),
+    (30, 0.022): (
+        -209.9760326311175929629,
+        205.8816877997075784523,
+        -202.7581221636166281633,
+        213.0995982851543944878,
+    ),
+    (34, 0.01): (
+        -268.7336172905452179299,
+        264.5141095420790698222,
+        -260.6020865379241601867,
+        272.6456402972466003685,
+    ),
+    (36, 0.022): (
+        -258.0966514944886693097,
+        253.819985188600062169,
+        -250.6964195487270885093,
+        261.2202171447434475174,
+    ),
+    (39, 0.016): (
+        -294.9519944154332333625,
+        290.5952855045331224223,
+        -287.1532661305099556584,
+        298.3940137937748875622,
+    ),
+    (40, 0.014): (
+        -308.8084437167084102589,
+        304.4264170207462272227,
+        -300.8508662534715014641,
+        312.3839944870475507125,
+    ),
+}
 LOG_DIRICHLET_0_1_2 = -1.895502989044699472182
 LOG_NEUMANN_0_1_2 = -2.494201815386752586208
 LOG_NEUMANN_1_1_2 = -2.466735238839884393738
@@ -149,6 +190,27 @@ def test_scipy_regime_top_order_logs_match_oracle(n, x):
         assert value == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("n, x", sorted(SCIPY_SMALL_ARGUMENT_LOGS))
+def test_scipy_regime_small_argument_logs_match_oracle(n, x):
+    """I_n from the Wronskian against mpmath, which does not assume it."""
+    pair = scaled_modified_bessel(n, x)
+    got = (pair.log_i, pair.log_k, pair.log_iprime, pair.log_kprime)
+    for value, expected in zip(got, SCIPY_SMALL_ARGUMENT_LOGS[n, x]):
+        assert value == pytest.approx(expected, rel=5e-14)
+
+
+def test_i_from_wronskian_matches_scipy_ive():
+    """i_n and i_n' from one ``ive`` order against AMOS ``ive`` at both."""
+    x = np.geomspace(1e-2, 400.0, 200)
+    for n in range(_SCIPY_ORDER_MAX + 1):
+        log_i, _, log_iprime, _ = _log_ik_scipy(order_like(n, x), x)
+        i_n = special.ive(n, x)
+        np.testing.assert_allclose(np.exp(log_i), i_n, rtol=1e-13)
+        np.testing.assert_allclose(np.exp(log_iprime),
+                                   special.ive(n + 1, x) + (n / x) * i_n,
+                                   rtol=1e-13)
+
+
 def test_k_recurrence_matches_scipy_kve():
     """The upward recurrence from k0e/k1e against AMOS kve, both orders."""
     x = np.geomspace(1e-2, 1e3, 200)
@@ -171,6 +233,18 @@ def test_k_overflow_raises_without_warning():
     for log_value, alone in zip(block, single):
         assert np.isfinite(log_value).all()
         assert log_value[0] == alone[0]
+
+
+def test_order_40_overflow_edge_raises_without_warning():
+    """At order 40 the kernel's range ends at x = 1.2145e-6 (i_41
+    underflows): it raises just below the edge, silently, and gives
+    finite logs just above it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="order 40"):
+            _log_ik_scipy(np.array([40]), np.array([1.2e-6]))
+        logs = _log_ik_scipy(np.array([40]), np.array([1.22e-6]))
+    assert all(np.isfinite(log_value).all() for log_value in logs)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +275,15 @@ def test_debye_tables_match_their_generator():
 
 @given(n=orders, lx=log_x)
 def test_wronskian_identity(n, lx):
-    """i k' - i' k must equal -1/x across both evaluation regimes."""
+    """i k' - i' k must equal -1/x across both evaluation regimes.
+
+    For orders up to 40 the kernel builds i_n from this identity (as
+    I_n K_{n+1} + I_{n+1} K_n = 1/x, DLMF 10.28.2), so there the check
+    is partly constructive: it tests the derivative recurrences and the
+    rounding, not i_n.  The mpmath pins
+    (``test_scipy_regime_small_argument_logs_match_oracle`` and the
+    other oracle tests) check i_n independently.
+    """
     x = 10.0**lx
     pair = scaled_modified_bessel(n, x)
     assert pair.wronskian() * x == pytest.approx(-1.0, rel=1e-12)
