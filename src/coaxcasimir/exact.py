@@ -75,9 +75,6 @@ reaches past ``order_cap``.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,7 +84,7 @@ from .quadrature import (
     integrate_semi_infinite,
     integrate_semi_infinite_batch,
 )
-from .approx import _validate_ratio as _check_ratio
+from .approx import _validate_ratio
 from .specfun import reflection_ratio_logs, reflection_ratio_logs_dalpha
 
 __all__ = [
@@ -239,41 +236,9 @@ class PressureResult:
     derivative_result: EnergyResult
 
     @property
-    def energy(self) -> float:
-        return self.energy_result.value
-
-    @property
-    def energy_derivative(self) -> float:
-        return self.derivative_result.value
-
-    @property
     def converged(self) -> bool:
         return (self.energy_result.converged
                 and self.derivative_result.converged)
-
-
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-
-
-def _caller_stacklevel() -> int:
-    """The ``stacklevel`` that names the first frame outside this package,
-    for a warning raised by this function's caller."""
-    frame, level = sys._getframe(1), 1
-    while frame.f_back is not None and frame.f_code.co_filename.startswith(
-            _PACKAGE_DIR):
-        frame, level = frame.f_back, level + 1
-    return level
-
-
-def _validate_ratio(ratio: float) -> float:
-    ratio = _check_ratio(ratio)
-    if ratio - 1.0 < 1e-3:
-        warnings.warn(
-            "radius ratio within 1e-3 of unity: quadrature panel widths "
-            "blow up as 1/(ratio-1) and the mode sum converges very slowly",
-            stacklevel=_caller_stacklevel(),
-        )
-    return ratio
 
 
 def _log1mexp(t: np.ndarray) -> np.ndarray:
@@ -296,9 +261,10 @@ def log_mode_factor(n, y, ratio: float):
     ----------
     n : int or int ndarray
         Angular order (sign is irrelevant), or one order per element of
-        a 1-d ``y``.
+        ``y``.
     y : float or array_like
-        Radial argument(s) in units of the inner radius, > 0.
+        Radial argument(s) in units of the inner radius, > 0; the result
+        is shaped like ``y``.
     ratio : float
         Radius ratio alpha > 1.
     """
@@ -532,8 +498,7 @@ def pressure_inner(ratio: float,
     ``2 error_e + alpha error_e'``, and the result converged when both
     sums did.
     """
-    # only the domain check here: the energy call warns near unity
-    ratio = _check_ratio(ratio)
+    ratio = _validate_ratio(ratio)
     energy = interaction_energy(ratio, cfg)
     derivative = _mode_sum(log_mode_factor_dalpha, ratio, cfg)
     return PressureResult(

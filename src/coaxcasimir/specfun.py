@@ -53,11 +53,14 @@ argument array from one kernel call:
   :math:`u_k` and :math:`v_k`) carried to eighth order in ``1/n``,
   evaluated directly in log space from one shared phase.
 
-The public functions take one integer order or an int array of orders
-matching the argument array, one order per point, so a single call serves
-a block of angular orders.  They resolve that once, at their boundary: a
-single order is checked and broadcast to the argument's shape, and the
-kernels below take an order per point only.  Each point takes the regime
+:func:`scaled_modified_bessel` returns the four logs as one record,
+:class:`ScaledBesselPair`, each field shaped like the argument, and the
+reflection log-ratios come back shaped like theirs.  The public functions
+take an argument of any shape and one integer order or an int array of
+orders matching it, one order per point, so a single call serves a block
+of angular orders.  They resolve that once, at their boundary: a single
+order is checked and broadcast to the argument's shape, and the kernels
+below take an order per point only.  Each point takes the regime
 of its own order, and its arithmetic is exactly that of a block holding
 its order alone: the Debye series rows and constants are formed once per
 distinct order and gathered per point, ``ive`` takes the order array as
@@ -73,7 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -331,111 +334,52 @@ def _pair_logs(n, x: np.ndarray):
     return tuple(logs)
 
 
-def _checked_exp(log_value, what: str):
-    with np.errstate(over="ignore"):
-        value = np.exp(log_value)
-    if np.any(np.isinf(value)):
-        raise OverflowError(
-            f"{what} is not representable in double precision "
-            f"(log value {np.max(log_value):.6g}); work with the log fields"
-        )
-    return value
+class ScaledBesselPair(NamedTuple):
+    """The four logs of the exponentially scaled Bessel pair.
 
-
-@dataclass(frozen=True)
-class ScaledBesselPair:
-    """The four exponentially scaled Bessel values at one (order, argument).
-
-    The primary representation is logarithmic: ``log_i``/``log_k`` hold
-    ``ln(e^{-x} I_n(x))`` and ``ln(e^{+x} K_n(x))``, and
-    ``log_iprime``/``log_kprime`` the logs of the *magnitudes* of the
-    scaled derivatives (``K_n'`` is negative for every ``n, x > 0``; the
-    accessor restores the sign).  The plain-value accessors raise
-    ``OverflowError`` instead of silently saturating when a value lies
-    outside the double range, which happens for n >> x.
+    ``log_i``/``log_k`` hold ``ln(e^{-x} I_n(x))`` and
+    ``ln(e^{+x} K_n(x))``, and ``log_iprime``/``log_kprime`` the logs of
+    the *magnitudes* of the scaled derivatives (``K_n'`` is negative for
+    every ``n, x > 0``), each shaped like the argument.  The logs stay
+    finite where the values themselves leave the double range, which
+    happens for n >> x.
     """
 
-    order: int
-    argument: float
-    log_i: float
-    log_k: float
-    log_iprime: float
-    log_kprime: float
-
-    @property
-    def i_scaled(self) -> float:
-        """e^{-x} I_n(x)."""
-        return float(_checked_exp(self.log_i, "scaled I"))
-
-    @property
-    def k_scaled(self) -> float:
-        """e^{+x} K_n(x)."""
-        return float(_checked_exp(self.log_k, "scaled K"))
-
-    @property
-    def i_prime_scaled(self) -> float:
-        """e^{-x} I_n'(x) (positive)."""
-        return float(_checked_exp(self.log_iprime, "scaled I'"))
-
-    @property
-    def k_prime_scaled(self) -> float:
-        """e^{+x} K_n'(x) (negative)."""
-        return -float(_checked_exp(self.log_kprime, "scaled K'"))
-
-    def i_unscaled(self) -> float:
-        """I_n(x) itself; raises OverflowError outside the double range."""
-        return float(_checked_exp(self.log_i + self.argument, "unscaled I"))
-
-    def k_unscaled(self) -> float:
-        """K_n(x) itself; raises OverflowError outside the double range."""
-        return float(_checked_exp(self.log_k - self.argument, "unscaled K"))
-
-    def wronskian(self) -> float:
-        """i k' - i' k, formed in log space; equals -1/x identically."""
-        return -float(
-            np.exp(self.log_i + self.log_kprime)
-            + np.exp(self.log_iprime + self.log_k)
-        )
+    log_i: np.ndarray
+    log_k: np.ndarray
+    log_iprime: np.ndarray
+    log_kprime: np.ndarray
 
 
-def scaled_modified_bessel(n: int, x: float) -> ScaledBesselPair:
-    """Scaled modified Bessel pair with derivatives at integer order n.
+def scaled_modified_bessel(n, x) -> ScaledBesselPair:
+    """Scaled modified Bessel pair with derivatives, in log space.
 
     Parameters
     ----------
-    n : int
-        Order; negative orders are folded onto positive ones through
-        I_{-n} = I_n, K_{-n} = K_n.
-    x : float
-        Argument, finite and > 0.
+    n : int or int ndarray
+        One order, or an order per element of ``x``; negative orders are
+        folded onto positive ones through I_{-n} = I_n, K_{-n} = K_n.
+    x : float or array_like
+        Argument(s), finite and > 0, of any shape.
 
     Returns
     -------
     ScaledBesselPair
     """
-    na, xa = _validate_order_argument(n, x)
-    if xa.ndim != 0:
-        raise ValueError("scaled_modified_bessel expects a scalar argument")
-    log_i, log_k, log_iprime, log_kprime = _pair_logs(na, xa)
-    return ScaledBesselPair(
-        order=int(na),
-        argument=float(xa),
-        log_i=float(log_i),
-        log_k=float(log_k),
-        log_iprime=float(log_iprime),
-        log_kprime=float(log_kprime),
-    )
+    return ScaledBesselPair(*_pair_logs(*_validate_order_argument(n, x)))
 
 
 def _ratio_logs(n, y: np.ndarray, ratio: float):
-    """Both log-ratios for a 1-d ``y``, and the four logs at ``ratio * y``."""
-    m = len(y)
-    li, lk, lip, lkp = _pair_logs(np.concatenate((n, n)),
-                                  np.concatenate((y, ratio * y)))
+    """Both log-ratios, and the four logs at ``ratio * y``, shaped like ``y``.
+
+    ``y`` and ``ratio * y`` go to the kernels stacked on a new leading
+    axis, one call for both arguments.
+    """
+    li, lk, lip, lkp = _pair_logs(np.stack((n, n)), np.stack((y, ratio * y)))
     damping = -2.0 * y * (ratio - 1.0)
-    lrd = damping + (li[:m] - li[m:]) + (lk[m:] - lk[:m])
-    lrn = damping + (lip[:m] - lip[m:]) + (lkp[m:] - lkp[:m])
-    return lrd, lrn, (li[m:], lk[m:], lip[m:], lkp[m:])
+    lrd = damping + (li[0] - li[1]) + (lk[1] - lk[0])
+    lrn = damping + (lip[0] - lip[1]) + (lkp[1] - lkp[0])
+    return lrd, lrn, (li[1], lk[1], lip[1], lkp[1])
 
 
 def reflection_ratio_logs(n, y, ratio: float):
@@ -458,10 +402,8 @@ def reflection_ratio_logs(n, y, ratio: float):
     ``ratio * y`` go to the Bessel kernel as one array, and its four logs
     at each argument are shared between the two ratios.
     """
-    n, y, ratio, scalar = _validate_ratio_args(n, y, ratio)
+    n, y, ratio = _validate_ratio_args(n, y, ratio)
     lrd, lrn, _ = _ratio_logs(n, y, ratio)
-    if scalar:
-        return lrd.item(), lrn.item()
     return lrd, lrn
 
 
@@ -488,18 +430,16 @@ def reflection_ratio_logs_dalpha(n, y, ratio: float):
     straight from differences of the scaled logs.  Both derivatives are
     negative.
     """
-    n, y, ratio, scalar = _validate_ratio_args(n, y, ratio)
+    n, y, ratio = _validate_ratio_args(n, y, ratio)
     lrd, lrn, (li, lk, lip, lkp) = _ratio_logs(n, y, ratio)
     x = ratio * y
     d_lrd = -y * (np.exp(lkp - lk) + np.exp(lip - li))
     d_lrn = -y * (1.0 + (n / x) ** 2) * (np.exp(lk - lkp) + np.exp(li - lip))
-    if scalar:
-        return lrd.item(), lrn.item(), d_lrd.item(), d_lrn.item()
     return lrd, lrn, d_lrd, d_lrn
 
 
 def _validate_ratio_args(n, y, ratio):
-    """1-d arrays of |n| and y, the checked ratio, and whether y is a scalar."""
+    """|n| and y as arrays of one shape, and the checked ratio."""
     ratio = _validate_ratio(ratio)
-    n, ya = _validate_order_argument(n, y)
-    return np.atleast_1d(n), np.atleast_1d(ya), ratio, np.ndim(y) == 0
+    n, y = _validate_order_argument(n, y)
+    return n, y, ratio

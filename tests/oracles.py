@@ -194,10 +194,10 @@ def main():
     print("# scaled Bessel pairs")
     for n, x in ((0, 1.0), (7, 0.35), (60, 10.0)):
         i, k, ip, kp = scaled_pair(n, x)
-        show(f"pair({n}, {x}).i_scaled", i)
-        show(f"pair({n}, {x}).k_scaled", k)
-        show(f"pair({n}, {x}).i_prime_scaled", ip)
-        show(f"pair({n}, {x}).k_prime_scaled", kp)
+        show(f"exp(log_i) at ({n}, {x})", i)
+        show(f"exp(log_k) at ({n}, {x})", k)
+        show(f"exp(log_iprime) at ({n}, {x})", ip)
+        show(f"-exp(log_kprime) at ({n}, {x})", kp)
         li, lk, lip, lkp = log_pair(n, x)
         show(f"pair({n}, {x}).log_i", li)
         show(f"pair({n}, {x}).log_k", lk)

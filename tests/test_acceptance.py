@@ -289,12 +289,11 @@ def test_eccentric_routes_agree_and_tighten_toward_contact_limit():
 def test_wronskian_identity_on_dense_grid():
     """Partly constructive up to order 40, where the kernel builds i_n
     from the Wronskian; the mpmath pins in test_specfun check i_n."""
-    xs = np.geomspace(1e-3, 1e4, 40)
-    worst = 0.0
-    for n in range(0, 201):
-        for x in xs:
-            pair = scaled_modified_bessel(n, float(x))
-            worst = max(worst, abs(pair.wronskian() * x + 1.0))
+    n, x = np.meshgrid(np.arange(0, 201), np.geomspace(1e-3, 1e4, 40),
+                       indexing="ij")
+    li, lk, lip, lkp = scaled_modified_bessel(n, x)
+    wronskian = -(np.exp(li + lkp) + np.exp(lip + lk))
+    worst = np.max(np.abs(wronskian * x + 1.0))
     assert worst <= 1e-12, f"worst Wronskian defect {worst:.3e}"
 
 

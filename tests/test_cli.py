@@ -138,11 +138,13 @@ def test_energy_per_order_breakdown(capsys):
     )
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_energy_non_convergence_exits_numerical(capsys):
-    code, payload = run_json(
-        capsys, "energy", "--alpha", "1.0005", "--order-cap", "2"
-    )
+    """Near unity the capped sum reaches the caller as exit 3 alone."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(
+            capsys, "energy", "--alpha", "1.0005", "--order-cap", "2"
+        )
     assert code == 3
     assert payload["converged"] is False
     assert "did not converge" in payload["error"]

@@ -47,6 +47,16 @@ def test_force_integral_matches_oracle():
     assert result.value == pytest.approx(FORCE_INTEGRAL_PIN, rel=1e-10)
 
 
+@pytest.mark.parametrize("integral, pin", [
+    (_energy_integral, ENERGY_INTEGRAL_PIN),
+    (_force_integral, FORCE_INTEGRAL_PIN),
+])
+def test_theta_integral_error_covers_distance_to_oracle(integral, pin):
+    """The quadrature's error estimate holds against the 30-digit pin."""
+    result = integral(1.0, 1.1, 0.05, SPEC)
+    assert abs(result.value - pin) <= result.error_estimate
+
+
 def test_energy_carries_proximity_prefactor():
     geom = EccentricGeometry(BASE, 0.05)
     expected = -math.pi**2 * HBAR_C * 1.0 / 720.0 * ENERGY_INTEGRAL_PIN

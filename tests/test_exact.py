@@ -72,6 +72,23 @@ def test_interaction_energy_matches_oracle(ratio, expected, rel):
 
 
 @pytest.mark.parametrize(
+    "ratio,expected",
+    [(1.5, ENERGY_AT_1_5), (2.0, ENERGY_AT_2), (4.0, ENERGY_AT_4),
+     (50.0, ENERGY_AT_50)],
+)
+def test_energy_error_covers_distance_to_oracle(ratio, expected):
+    """The reported error bound holds against the 30-digit pin."""
+    result = interaction_energy(ratio)
+    assert abs(result.value - expected) <= result.error
+
+
+def test_double_route_error_covers_distance_to_oracle():
+    result = interaction_energy_double_integral(2.0)
+    assert result.converged
+    assert abs(result.value - ENERGY_AT_2) <= result.error
+
+
+@pytest.mark.parametrize(
     "ratio,expected,rel",
     [(2.0, PRESSURE_AT_2, 5e-6), (4.0, PRESSURE_AT_4, 1e-6)],
 )
@@ -104,7 +121,7 @@ def test_energy_derivative_matches_finite_differences(ratio):
         return (up - down) / (2.0 * step)
 
     richardson = (4.0 * central(0.5 * h) - central(h)) / 3.0
-    assert pressure_inner(ratio).energy_derivative == pytest.approx(
+    assert pressure_inner(ratio).derivative_result.value == pytest.approx(
         richardson, rel=1e-8
     )
 
@@ -284,36 +301,22 @@ def test_order_cap_bounds_every_block(monkeypatch):
 
 
 def test_energy_result_reports_capped_order_sum():
+    """Near unity the capped sum is a flag on the result, not a warning."""
     cfg = NumericsConfig(order_cap=2, order_tol=1e-10)
-    with pytest.warns(UserWarning, match="converges very slowly"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = interaction_energy(1.0005, cfg)
     assert result.order_capped
     assert not result.converged
     assert result.truncation_error > 0.0
 
 
-def test_pressure_warns_once_near_unity():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pressure_inner(1.0005, NumericsConfig(order_cap=3))
-    slow = [w for w in caught if "converges very slowly" in str(w.message)]
-    assert len(slow) == 1
-
-
-@pytest.mark.parametrize("call", [interaction_energy, pressure_inner])
-def test_near_unity_warning_names_the_callers_file(call):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        call(1.0005, NumericsConfig(order_cap=3))
-    slow = [w for w in caught if "converges very slowly" in str(w.message)]
-    assert [w.filename for w in slow] == [__file__]
-
-
 def test_pressure_carries_energy_diagnostics():
     result = pressure_inner(2.0)
-    assert result.energy == pytest.approx(ENERGY_AT_2, rel=1e-9)
+    energy = result.energy_result.value
+    assert energy == pytest.approx(ENERGY_AT_2, rel=1e-9)
     assert result.value == pytest.approx(
-        2.0 * result.energy + 2.0 * result.energy_derivative, rel=1e-12
+        2.0 * energy + 2.0 * result.derivative_result.value, rel=1e-12
     )
     assert math.isfinite(result.error)
     assert result.error < 1e-6 * abs(result.value)

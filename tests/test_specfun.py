@@ -149,10 +149,10 @@ def order_like(n, x):
 def test_small_order_values_match_oracle():
     pair = scaled_modified_bessel(0, 1.0)
     i, k, ip, kp = PAIR_0_1
-    assert pair.i_scaled == pytest.approx(i, rel=1e-14)
-    assert pair.k_scaled == pytest.approx(k, rel=1e-14)
-    assert pair.i_prime_scaled == pytest.approx(ip, rel=1e-14)
-    assert pair.k_prime_scaled == pytest.approx(kp, rel=1e-14)
+    assert np.exp(pair.log_i) == pytest.approx(i, rel=1e-14)
+    assert np.exp(pair.log_k) == pytest.approx(k, rel=1e-14)
+    assert np.exp(pair.log_iprime) == pytest.approx(ip, rel=1e-14)
+    assert -np.exp(pair.log_kprime) == pytest.approx(kp, rel=1e-14)
 
 
 def test_small_argument_logs_match_oracle():
@@ -285,8 +285,9 @@ def test_wronskian_identity(n, lx):
     other oracle tests) check i_n independently.
     """
     x = 10.0**lx
-    pair = scaled_modified_bessel(n, x)
-    assert pair.wronskian() * x == pytest.approx(-1.0, rel=1e-12)
+    li, lk, lip, lkp = scaled_modified_bessel(n, x)
+    wronskian = -(np.exp(li + lkp) + np.exp(lip + lk))
+    assert wronskian * x == pytest.approx(-1.0, rel=1e-12)
 
 
 @given(
@@ -298,13 +299,27 @@ def test_regime_overlap(n, lx):
 
     Arguments below ~0.5 are excluded: there the direct route's scaled
     value underflows the double range for orders this large (and raises,
-    which test_unscaled_accessors_raise_outside_double_range covers).
+    which test_k_overflow_raises_without_warning covers).
     """
     x = np.asarray(10.0**lx)
     li_d, lk_d = _log_ik_scipy(order_like(n, x), x)[:2]
     li_a, lk_a = _log_ik_debye(order_like(n, x), x)[:2]
     assert float(li_a) == pytest.approx(float(li_d), rel=1e-10, abs=1e-10)
     assert float(lk_a) == pytest.approx(float(lk_d), rel=1e-10, abs=1e-10)
+
+
+def test_argument_grid_equals_each_point_alone():
+    """An order grid, or one order, with an argument grid of any shape
+    gives, bit for bit, each point's own call, across the seam."""
+    n, x = np.meshgrid(np.arange(36, 46), np.geomspace(0.5, 900.0, 7),
+                       indexing="ij")
+    grid = scaled_modified_bessel(n, x)
+    one_order = scaled_modified_bessel(41, x)
+    for index in np.ndindex(x.shape):
+        assert tuple(log[index] for log in grid) == scaled_modified_bessel(
+            int(n[index]), float(x[index]))
+        assert tuple(log[index] for log in one_order) == (
+            scaled_modified_bessel(41, float(x[index])))
 
 
 def test_negative_order_folds_to_positive():
@@ -317,8 +332,8 @@ def test_large_argument_asymptotics():
     pair = scaled_modified_bessel(0, x)
     lead_i = (1.0 + 1.0 / (8.0 * x)) / math.sqrt(2.0 * math.pi * x)
     lead_k = (1.0 - 1.0 / (8.0 * x)) * math.sqrt(math.pi / (2.0 * x))
-    assert pair.i_scaled == pytest.approx(lead_i, rel=1e-6)
-    assert pair.k_scaled == pytest.approx(lead_k, rel=1e-6)
+    assert np.exp(pair.log_i) == pytest.approx(lead_i, rel=1e-6)
+    assert np.exp(pair.log_k) == pytest.approx(lead_k, rel=1e-6)
 
 
 def test_reflection_log_ratios_match_oracle():
@@ -422,12 +437,8 @@ def test_order_array_must_hold_integers_matching_the_argument():
         reflection_ratio_logs(np.array([1, 2, 3]), np.array([1.0, 2.0]), 2.0)
 
 
-def test_unscaled_accessors_raise_outside_double_range():
-    with pytest.raises(OverflowError):
-        scaled_modified_bessel(5, 800.0).i_unscaled()
-    with pytest.raises(OverflowError):
-        scaled_modified_bessel(500, 1.0).k_scaled
-    # the log fields remain finite and usable in the same regime
+def test_log_fields_stay_finite_outside_double_range():
+    """At order 500 and x = 1, e^x K_n overflows; its log does not."""
     assert math.isfinite(scaled_modified_bessel(500, 1.0).log_k)
 
 
