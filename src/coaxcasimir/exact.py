@@ -62,14 +62,21 @@ rule as the energy, and the pressure's error bound is
 
 Both mode sums integrate the orders in lockstep blocks: the n = 0 term
 alone, then consecutive orders from n = 1 on in blocks 16 wide through
-order 144 and wider beyond, up to 64 (:func:`_order_blocks`), each block
-one :func:`~.quadrature.integrate_semi_infinite_batch` call whose
-integrand hands the mode factor one order per abscissa.  Every order
-keeps its own adaptive panels, so each per-order integral, and the sum,
-is bit for bit what one order at a time gives.  The stopping rule reads
-the orders one by one; the orders of the last block past the stopping
-order are discarded and count in no field of the result, and no block
-reaches past ``order_cap``.
+order 144 and wider beyond, up to 64 (:func:`_order_blocks`).  One
+driver, :func:`_mode_sums`, runs any number of sums over the same
+orders as one: each block is one
+:func:`~.quadrature.integrate_semi_infinite_batch` call over the block's
+orders for every sum still running, and a sum that has stopped drops out
+of later blocks.  The pressure's two sums so share their lockstep
+rounds, and their integrand hands the Bessel kernel each distinct
+(order, y) pair of a round once, then applies the energy formula to the
+energy sum's abscissae and the e' formula to those of the e' sum.  Every
+order of every sum keeps its own adaptive panels and every kernel is
+elementwise, so each per-order integral, and each sum, is bit for bit
+what that sum alone, one order at a time, gives.  The stopping rule
+reads each sum's orders one by one; the orders of its last block past
+its stopping order are discarded and count in no field of its result,
+and no block reaches past ``order_cap``.
 """
 
 from __future__ import annotations
@@ -251,6 +258,17 @@ def _log1mexp(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _energy_factor(lrd, lrn):
+    """ln M_n from the Dirichlet and Neumann log-ratios."""
+    return _log1mexp(lrd) + _log1mexp(lrn)
+
+
+def _dalpha_factor(lrd, lrn, d_lrd, d_lrn):
+    """d ln M_n / d alpha from the log-ratios and their alpha-derivatives."""
+    return (np.exp(lrd) * d_lrd / np.expm1(lrd)
+            + np.exp(lrn) * d_lrn / np.expm1(lrn))
+
+
 def log_mode_factor(n, y, ratio: float):
     """Log of the two-polarization annulus mode factor, ln M_n(y, alpha).
 
@@ -268,8 +286,7 @@ def log_mode_factor(n, y, ratio: float):
     ratio : float
         Radius ratio alpha > 1.
     """
-    lrd, lrn = reflection_ratio_logs(n, y, ratio)
-    return _log1mexp(lrd) + _log1mexp(lrn)
+    return _energy_factor(*reflection_ratio_logs(n, y, ratio))
 
 
 def log_mode_factor_dalpha(n, y, ratio: float):
@@ -281,65 +298,64 @@ def log_mode_factor_dalpha(n, y, ratio: float):
     and underflows quietly to 0 as ``t -> -inf``.  Takes ``n`` as
     :func:`log_mode_factor` does.
     """
-    lrd, lrn, d_lrd, d_lrn = reflection_ratio_logs_dalpha(n, y, ratio)
-    return (np.exp(lrd) * d_lrd / np.expm1(lrd)
-            + np.exp(lrn) * d_lrn / np.expm1(lrn))
+    return _dalpha_factor(*reflection_ratio_logs_dalpha(n, y, ratio))
 
 
-def _order_contributions(cfg: NumericsConfig, parts):
-    """Shared angular-sum driver.
+class _OrderSum:
+    """One angular sum, folded order by order, n = 0, 1, 2, ...
 
-    ``parts`` yields a QuadratureResult-like (value, error, evals,
-    converged) for the order-n radial integral, n = 0, 1, 2, ...; this
-    folds the n = 0 term plus twice the n >= 1 terms with the
-    two-consecutive-small-terms stopping rule, and assembles the error
-    budget.  It stops drawing from ``parts`` at the stopping order (at
-    most ``cfg.order_cap``), so what the iterator computed beyond it
-    counts nowhere.
+    :meth:`add` takes the order-n radial integral (a QuadratureResult-like
+    value, error_estimate, evaluations, converged) and says whether the
+    sum has stopped; :meth:`result` then assembles the EnergyResult.  The
+    n = 0 term counts once and the n >= 1 terms twice.  The sum stops at
+    the second consecutive order contributing less than ``order_tol`` of
+    the running total, or at ``order_cap`` (flagged as capped); what was
+    computed beyond it is never added and counts nowhere.
     """
-    per_order = []
-    total = 0.0
-    quad_error = 0.0
-    evaluations = 0
-    quad_ok = True
-    small_streak = 0
-    raw = []
-    for n, part in enumerate(parts):
+
+    def __init__(self, cfg: NumericsConfig):
+        self.cfg = cfg
+        self.per_order = []
+        self.total = self.quad_error = 0.0
+        self.evaluations = self.small_streak = 0
+        self.quad_ok = True
+        self.capped = False
+
+    def add(self, part) -> bool:
+        n = len(self.per_order)
         weight = 1.0 if n == 0 else 2.0
         contrib = weight * part.value
-        per_order.append((n, contrib))
-        raw.append(abs(contrib))
-        total += contrib
-        quad_error += weight * part.error_estimate
-        evaluations += part.evaluations
-        quad_ok = quad_ok and part.converged
+        self.per_order.append((n, contrib))
+        self.total += contrib
+        self.quad_error += weight * part.error_estimate
+        self.evaluations += part.evaluations
+        self.quad_ok = self.quad_ok and part.converged
         if n >= 1:
-            if abs(contrib) < cfg.order_tol * abs(total):
-                small_streak += 1
-            else:
-                small_streak = 0
-            if small_streak >= 2:
-                capped = False
-                break
-        if n >= cfg.order_cap:
-            capped = True
-            break
-    # geometric bound on the dropped tail from the last two magnitudes
-    if len(raw) >= 2 and raw[-2] > 0.0 and raw[-1] < raw[-2]:
-        q = raw[-1] / raw[-2]
-        truncation = raw[-1] * q / (1.0 - q)
-    else:
-        truncation = raw[-1]
-    return EnergyResult(
-        value=total,
-        per_order=tuple(per_order),
-        order_max=per_order[-1][0],
-        quad_error=quad_error,
-        truncation_error=truncation,
-        evaluations=evaluations,
-        order_capped=capped,
-        quad_converged=quad_ok,
-    )
+            small = abs(contrib) < self.cfg.order_tol * abs(self.total)
+            self.small_streak = self.small_streak + 1 if small else 0
+            if self.small_streak >= 2:
+                return True
+        self.capped = n >= self.cfg.order_cap
+        return self.capped
+
+    def result(self) -> EnergyResult:
+        # geometric bound on the dropped tail from the last two magnitudes
+        raw = [abs(contrib) for _, contrib in self.per_order[-2:]]
+        if len(raw) >= 2 and raw[-2] > 0.0 and raw[-1] < raw[-2]:
+            q = raw[-1] / raw[-2]
+            truncation = raw[-1] * q / (1.0 - q)
+        else:
+            truncation = raw[-1]
+        return EnergyResult(
+            value=self.total,
+            per_order=tuple(self.per_order),
+            order_max=self.per_order[-1][0],
+            quad_error=self.quad_error,
+            truncation_error=truncation,
+            evaluations=self.evaluations,
+            order_capped=self.capped,
+            quad_converged=self.quad_ok,
+        )
 
 
 def interaction_energy(ratio: float,
@@ -363,7 +379,8 @@ def interaction_energy(ratio: float,
     EnergyResult
     """
     ratio = _validate_ratio(ratio)
-    return _mode_sum(log_mode_factor, ratio, cfg)
+    return _mode_sums(lambda y, n, sums: y * log_mode_factor(n, y, ratio),
+                      1, ratio, cfg)[0]
 
 
 def _order_blocks(order_cap: int):
@@ -375,28 +392,74 @@ def _order_blocks(order_cap: int):
         first += width
 
 
-def _mode_sum(factor, ratio: float, cfg: NumericsConfig) -> EnergyResult:
-    """``sum_n integral_0^inf y factor(n, y, alpha) dy / (4 pi)``.
+def _mode_sums(integrand, count: int, ratio: float,
+               cfg: NumericsConfig) -> list[EnergyResult]:
+    """``count`` angular sums over the same orders, run as one.
 
-    The leading panel width is the decay scale ``1/(alpha - 1)``; ``ratio``
-    must already be validated.  Orders from n = 1 on are integrated in
-    the blocks of :func:`_order_blocks` by one batched quadrature call
-    each, whose integrand is ``factor`` at one order per abscissa.
+    Sum ``s`` is ``sum_n integral_0^inf integrand(y, n, s) dy / (4 pi)``:
+    the batched ``integrand(y, n, sums)`` returns, for each abscissa
+    ``y[j]``, the integrand of sum ``sums[j]`` at order ``n[j]``.  The
+    leading panel width is the decay scale ``1/(alpha - 1)``; ``ratio``
+    must already be validated.  Each sum's n = 0 term is its own
+    integral; the orders from 1 on go in the blocks of
+    :func:`_order_blocks`, one batched quadrature call per block over its
+    orders for every sum still running.
     """
     qspec = replace(cfg.quad, tail_cut=1.0 / (ratio - 1.0))
     inv_4pi = 1.0 / (4.0 * math.pi)
-
-    def parts():
+    sums = [_OrderSum(cfg) for _ in range(count)]
+    for s, one in enumerate(sums):
         # n = 0 alone: one integral is bit for bit a batch of one.
-        yield integrate_semi_infinite(
-            lambda y: y * factor(0, y, ratio), qspec).scaled(inv_4pi)
-        for orders in _order_blocks(cfg.order_cap):
-            for part in integrate_semi_infinite_batch(
-                    lambda y, which: y * factor(orders[which], y, ratio),
-                    len(orders), qspec):
-                yield part.scaled(inv_4pi)
+        one.add(integrate_semi_infinite(
+            lambda y: integrand(y, np.zeros(y.shape, dtype=int),
+                                np.full(y.shape, s)),
+            qspec).scaled(inv_4pi))
+    live = list(range(count))
+    for orders in _order_blocks(cfg.order_cap):
+        if not live:
+            break
+        # integral j of the block: sum live[j // width] at orders[j % width]
+        width = len(orders)
+        order_of, sum_of = np.tile(orders, len(live)), np.repeat(live, width)
+        parts = integrate_semi_infinite_batch(
+            lambda y, which: integrand(y, order_of[which], sum_of[which]),
+            len(order_of), qspec)
+        running = []
+        for k, s in enumerate(live):
+            # any() adds the block's orders up to the one that stops the sum
+            if not any(sums[s].add(part.scaled(inv_4pi))
+                       for part in parts[k * width:(k + 1) * width]):
+                running.append(s)
+        live = running
+    return [one.result() for one in sums]
 
-    return _order_contributions(cfg, parts())
+
+def _pressure_integrand(ratio: float):
+    """The batched integrand of the pressure's two sums, energy and e'.
+
+    Sum 0 takes ``y ln M_n`` and sum 1 ``y d ln M_n / d alpha``.  A round's
+    abscissae of both sums often coincide, so the distinct (order, y)
+    pairs go to :func:`~.specfun.reflection_ratio_logs_dalpha` once; each
+    formula then reads its own sum's points.  Every step is elementwise,
+    so each point's value is what the sum's own integrand gives it.
+    """
+    def integrand(y, n, sums):
+        by_pair = np.lexsort((y, n))
+        ys, ns = y[by_pair], n[by_pair]
+        fresh = np.empty(len(y), dtype=bool)
+        fresh[:1] = True
+        fresh[1:] = (ns[1:] != ns[:-1]) | (ys[1:] != ys[:-1])
+        back = np.empty(len(y), dtype=int)
+        back[by_pair] = np.cumsum(fresh) - 1
+        logs = [part[back] for part in reflection_ratio_logs_dalpha(
+            ns[fresh], ys[fresh], ratio)]
+        energy = sums == 0
+        out = np.empty(len(y))
+        out[energy] = _energy_factor(*(a[energy] for a in logs[:2]))
+        out[~energy] = _dalpha_factor(*(a[~energy] for a in logs))
+        return y * out
+
+    return integrand
 
 
 def _mode_factor_dy(n: int, y: np.ndarray, ratio: float) -> np.ndarray:
@@ -465,8 +528,11 @@ def interaction_energy_double_integral(
                        evaluations=evaluations + part.evaluations,
                        converged=part.converged and all_ok)
 
-    return _order_contributions(cfg,
-                                map(term, range(cfg.order_cap + 1)))
+    one = _OrderSum(cfg)
+    for n in range(cfg.order_cap + 1):
+        if one.add(term(n)):
+            break
+    return one.result()
 
 
 def _total_energy(interaction: float, ratio: float) -> float:
@@ -494,13 +560,16 @@ def pressure_inner(ratio: float,
     Two mode sums: the energy, exactly as :func:`interaction_energy`
     computes it, and e' from the closed-form alpha-derivative of the
     mode factor (:func:`log_mode_factor_dalpha`) through the same
-    quadrature and stopping rule.  ``error`` is the bound
-    ``2 error_e + alpha error_e'``, and the result converged when both
-    sums did.
+    quadrature and stopping rule.  The two run as one (:func:`_mode_sums`):
+    they share each block's lockstep rounds and each round's Bessel kernel
+    call, which sees every distinct (order, y) pair once.  The values are
+    still, bit for bit, those of each sum alone: ``energy_result`` equals
+    :func:`interaction_energy` at the same ratio and numerics.  ``error``
+    is the bound ``2 error_e + alpha error_e'``, and the result converged
+    when both sums did.
     """
     ratio = _validate_ratio(ratio)
-    energy = interaction_energy(ratio, cfg)
-    derivative = _mode_sum(log_mode_factor_dalpha, ratio, cfg)
+    energy, derivative = _mode_sums(_pressure_integrand(ratio), 2, ratio, cfg)
     return PressureResult(
         value=2.0 * energy.value + ratio * derivative.value,
         error=float(2.0 * energy.error + ratio * derivative.error),

@@ -321,8 +321,10 @@ def _pair_logs(n, x: np.ndarray):
     """Return (log i_n, log k_n, log i_n', log |k_n'|) at orders n >= 0.
 
     ``n`` is an int array matching ``x``; each point takes the regime of
-    its order.
+    its order.  An empty argument gives four empty arrays of its shape.
     """
+    if x.size == 0:
+        return tuple(np.empty((4,) + x.shape))
     small = n <= _SCIPY_ORDER_MAX
     if small.all():
         return _log_ik_scipy(n, x)

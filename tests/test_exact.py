@@ -300,6 +300,75 @@ def test_order_cap_bounds_every_block(monkeypatch):
     assert max(seen) == 5
 
 
+@pytest.mark.parametrize("ratio", [2.0, 1.1])
+def test_pressure_sums_are_one_order_integrals_at_every_order(ratio):
+    """Run as one, each of the pressure's sums still holds, bit for bit,
+    its own one-order integrals, and stops where its own rule fires.
+
+    At both ratios the two sums stop at different orders, so one of them
+    drops out of the shared blocks before the other.
+    """
+    result = pressure_inner(ratio)
+    spec = replace(DEFAULT_NUMERICS.quad, tail_cut=1.0 / (ratio - 1.0))
+    sums = ((log_mode_factor, result.energy_result),
+            (log_mode_factor_dalpha, result.derivative_result))
+    for factor, one_sum in sums:
+        total, streak, fired = 0.0, 0, []
+        for n, contribution in one_sum.per_order:
+            alone = integrate_semi_infinite(
+                lambda y: y * factor(n, y, ratio), spec)
+            weight = 1.0 if n == 0 else 2.0
+            assert contribution == weight * (alone.value
+                                             * (1.0 / (4.0 * math.pi)))
+            total += contribution
+            small = abs(contribution) < DEFAULT_NUMERICS.order_tol * abs(total)
+            streak = streak + 1 if n >= 1 and small else 0
+            if streak >= 2:
+                fired.append(n)
+        assert fired[0] == one_sum.order_max
+        assert not one_sum.order_capped
+    assert (result.energy_result.order_max
+            != result.derivative_result.order_max)
+
+
+def _recording_kernel(monkeypatch):
+    """Record the (orders, abscissae) each call of the pressure's kernel
+    receives."""
+    seen = []
+
+    def recording(n, y, ratio):
+        seen.append((np.array(n), np.array(y)))
+        return reflection_ratio_logs_dalpha(n, y, ratio)
+
+    monkeypatch.setattr(exact, "reflection_ratio_logs_dalpha", recording)
+    return seen
+
+
+def test_pressure_hands_the_kernel_each_shared_abscissa_once(monkeypatch):
+    """Both sums' abscissae reach the Bessel kernel through one call per
+    round, which holds each (order, y) pair once."""
+    seen = _recording_kernel(monkeypatch)
+    energy_only = []
+    monkeypatch.setattr(exact, "reflection_ratio_logs",
+                        lambda *args: energy_only.append(args))
+    result = pressure_inner(2.0)
+    assert not energy_only
+    for n, y in seen:
+        assert len(set(zip(n.tolist(), y.tolist()))) == len(y)
+    points = sum(len(y) for _, y in seen)
+    assert points < (result.energy_result.evaluations
+                     + result.derivative_result.evaluations)
+
+
+def test_pressure_order_cap_bounds_every_block(monkeypatch):
+    seen = _recording_kernel(monkeypatch)
+    result = pressure_inner(1.1, NumericsConfig(order_cap=5))
+    for one_sum in (result.energy_result, result.derivative_result):
+        assert one_sum.order_max == 5
+        assert one_sum.order_capped
+    assert max(int(n.max()) for n, _ in seen) == 5
+
+
 def test_energy_result_reports_capped_order_sum():
     """Near unity the capped sum is a flag on the result, not a warning."""
     cfg = NumericsConfig(order_cap=2, order_tol=1e-10)

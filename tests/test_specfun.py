@@ -26,6 +26,7 @@ from coaxcasimir.specfun import (
     reflection_ratio_logs_dalpha,
     scaled_modified_bessel,
 )
+from coaxcasimir.exact import log_mode_factor, log_mode_factor_dalpha
 
 # oracle pins: (i, k, i', k') scaled by e^-x / e^+x, at n=0, x=1
 PAIR_0_1 = (
@@ -440,6 +441,23 @@ def test_order_array_must_hold_integers_matching_the_argument():
 def test_log_fields_stay_finite_outside_double_range():
     """At order 500 and x = 1, e^x K_n overflows; its log does not."""
     assert math.isfinite(scaled_modified_bessel(500, 1.0).log_k)
+
+
+@pytest.mark.parametrize("n", [5, 50])
+@pytest.mark.parametrize("y", [[], np.empty((2, 0))])
+def test_empty_argument_gives_empty_logs(n, y):
+    """In either regime, an empty argument gives empty arrays of its shape
+    from every public entry point, for one order or an (empty) order
+    array."""
+    shape = np.shape(y)
+    for order in (n, np.full(shape, n)):
+        for logs in (scaled_modified_bessel(order, y),
+                     reflection_ratio_logs(order, y, 2.0),
+                     reflection_ratio_logs_dalpha(order, y, 2.0),
+                     (log_mode_factor(order, y, 2.0),
+                      log_mode_factor_dalpha(order, y, 2.0))):
+            for log_value in logs:
+                assert log_value.shape == shape
 
 
 @pytest.mark.parametrize("bad_x", [0.0, -1.0, math.nan, math.inf])
