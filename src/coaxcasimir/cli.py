@@ -28,7 +28,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -202,32 +202,30 @@ def _resolve_options(args) -> None:
         setattr(args, opt.name, None if raw is None else opt.convert(raw))
 
 
-_QUAD_FIELDS = ("rel_tol", "abs_tol", "max_subdivisions")
-_ORDER_FIELDS = ("order_tol", "order_cap")
+def _field_values(obj, cls) -> dict:
+    """``obj``'s value of each field of the dataclass ``cls`` but ``quad``."""
+    return {f.name: getattr(obj, f.name) for f in fields(cls)
+            if f.name != "quad"}
 
 
-def _field_values(obj, names) -> dict:
-    return {name: getattr(obj, name) for name in names}
-
-
-def _field_opts(obj, names) -> tuple:
-    """One option per named field of ``obj``, typed and defaulted like it."""
+def _field_opts(cls) -> tuple:
+    """One option per field of ``cls``, typed and defaulted like it."""
     return tuple(_Opt(name, type(default), default)
-                 for name, default in _field_values(obj, names).items())
+                 for name, default in _field_values(cls(), cls).items())
 
 
 def _quad_spec(args) -> QuadratureSpec:
-    return replace(QuadratureSpec(), **_field_values(args, _QUAD_FIELDS))
+    return QuadratureSpec(**_field_values(args, QuadratureSpec))
 
 
 def _numerics(args) -> NumericsConfig:
-    return replace(NumericsConfig(), quad=_quad_spec(args),
-                   **_field_values(args, _ORDER_FIELDS))
+    return NumericsConfig(quad=_quad_spec(args),
+                          **_field_values(args, NumericsConfig))
 
 
 def _numerics_echo(cfg: NumericsConfig) -> dict:
-    return {**_field_values(cfg.quad, _QUAD_FIELDS),
-            **_field_values(cfg, _ORDER_FIELDS)}
+    return {**_field_values(cfg.quad, QuadratureSpec),
+            **_field_values(cfg, NumericsConfig)}
 
 
 def _parse_quantities(raw: str):
@@ -499,8 +497,8 @@ def _cmd_freq_shift(args) -> int:
 _ALPHA_CHECK = (lambda a: math.isfinite(a) and a > 1.0, "alpha must exceed 1")
 _FINITE_MAX = (math.isfinite, "alpha_max must be finite")
 
-_QUAD_OPTS = _field_opts(QuadratureSpec(), _QUAD_FIELDS)
-_NUMERICS_OPTS = _QUAD_OPTS + _field_opts(NumericsConfig(), _ORDER_FIELDS)
+_QUAD_OPTS = _field_opts(QuadratureSpec)
+_NUMERICS_OPTS = _QUAD_OPTS + _field_opts(NumericsConfig)
 _WORKERS = _Opt("workers", int, os.cpu_count() or 1,
                 check=(lambda n: n >= 1, "workers must be at least 1"))
 _ROWS_FORMAT = _Opt("format", str, "csv", choices=("csv", "json"))

@@ -405,7 +405,7 @@ def _mode_sums(integrand, count: int, ratio: float,
     :func:`_order_blocks`, one batched quadrature call per block over its
     orders for every sum still running.
     """
-    qspec = replace(cfg.quad, tail_cut=1.0 / (ratio - 1.0))
+    tail_cut = 1.0 / (ratio - 1.0)
     inv_4pi = 1.0 / (4.0 * math.pi)
     sums = [_OrderSum(cfg) for _ in range(count)]
     for s, one in enumerate(sums):
@@ -413,7 +413,7 @@ def _mode_sums(integrand, count: int, ratio: float,
         one.add(integrate_semi_infinite(
             lambda y: integrand(y, np.zeros(y.shape, dtype=int),
                                 np.full(y.shape, s)),
-            qspec).scaled(inv_4pi))
+            cfg.quad, tail_cut=tail_cut).scaled(inv_4pi))
     live = list(range(count))
     for orders in _order_blocks(cfg.order_cap):
         if not live:
@@ -423,7 +423,7 @@ def _mode_sums(integrand, count: int, ratio: float,
         order_of, sum_of = np.tile(orders, len(live)), np.repeat(live, width)
         parts = integrate_semi_infinite_batch(
             lambda y, which: integrand(y, order_of[which], sum_of[which]),
-            len(order_of), qspec)
+            len(order_of), cfg.quad, tail_cut=tail_cut)
         running = []
         for k, s in enumerate(live):
             # any() adds the block's orders up to the one that stops the sum
@@ -503,7 +503,7 @@ def interaction_energy_double_integral(
     the reduced form as before.
     """
     ratio = _validate_ratio(ratio)
-    qspec = replace(cfg.quad, tail_cut=1.0 / (ratio - 1.0))
+    tail_cut = 1.0 / (ratio - 1.0)
     prefactor = -1.0 / (2.0 * math.pi**2)
 
     def term(n: int):
@@ -518,12 +518,13 @@ def interaction_energy_double_integral(
                 y = k + s
                 return np.sqrt(s * (s + 2.0 * k)) * _mode_factor_dy(n, y, ratio)
 
-            parts = integrate_semi_infinite_batch(radial, len(ks), qspec)
+            parts = integrate_semi_infinite_batch(radial, len(ks), cfg.quad,
+                                                  tail_cut=tail_cut)
             evaluations += sum(part.evaluations for part in parts)
             all_ok = all_ok and all(part.converged for part in parts)
             return np.array([part.value for part in parts])
 
-        part = integrate_semi_infinite(outer, qspec)
+        part = integrate_semi_infinite(outer, cfg.quad, tail_cut=tail_cut)
         return replace(part.scaled(prefactor),
                        evaluations=evaluations + part.evaluations,
                        converged=part.converged and all_ok)

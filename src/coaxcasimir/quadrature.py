@@ -15,10 +15,10 @@ returns by construction, bit for bit, what each returns alone.
 
 Semi-infinite integrals assume the integrand eventually decays at least
 exponentially (true of every caller in this package).  They are summed
-over segments of doubling width, ``[0, c], [c, 3c], [3c, 7c], ...``
-(``c = QuadratureSpec.tail_cut``); the march stops once a segment
-contributes less than ``abs_tol`` and a geometric-decay bound on the
-remaining tail drops below ``abs_tol`` as well.
+over segments of doubling width, ``[0, c], [c, 3c], [3c, 7c], ...``,
+where ``c`` is the integrators' ``tail_cut`` keyword; the march stops
+once a segment contributes less than ``abs_tol`` and a geometric-decay
+bound on the remaining tail drops below ``abs_tol`` as well.
 
 Integrand callables must be vectorized: they receive an ndarray of
 abscissae and return an ndarray of values.  Batched integrands, for
@@ -32,6 +32,7 @@ panels of all of them in flat arrays and advances them in lockstep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,26 +80,18 @@ class NonFiniteIntegrandError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for the adaptive integrators.
-
-    ``tail_cut`` is the leading segment width for semi-infinite
-    integrals; callers with an exponential decay scale ``lambda`` should
-    set it to roughly ``1/lambda`` so the first segment already spans the
-    bulk of the integrand.
-    """
+    """Tolerances and budgets for the adaptive integrators."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
     max_subdivisions: int = 200
-    tail_cut: float = 1.0
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf
+                and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if not self.tail_cut > 0.0:
-            raise ValueError("tail_cut must be positive")
 
 
 @dataclass(frozen=True)
@@ -300,13 +293,17 @@ def integrate_finite(f, lo: float, hi: float,
     return _lockstep(lambda x, which: f(x), 1, spec, lo, hi)[0]
 
 
-def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
+def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec(), *,
+                            tail_cut: float = 1.0) -> QuadratureResult:
     """Integrate a vectorized, eventually-exponentially-decaying f over [0, inf).
 
-    Segments ``[0, c], [c, 3c], [3c, 7c], ...`` (``c = spec.tail_cut``)
-    are each integrated as in :func:`integrate_finite`.  From the second
-    segment on, the march stops when the last segment contributed less
-    than ``abs_tol`` in magnitude and the geometric tail bound
+    Segments ``[0, c], [c, 3c], [3c, 7c], ...`` (``c = tail_cut``, finite
+    and positive) are each integrated as in :func:`integrate_finite`.  An
+    integrand decaying like ``exp(-lambda x)`` is best served by
+    ``tail_cut`` near ``1/lambda``, so that the first segment already
+    spans its bulk.  From the second segment on, the march stops when
+    the last segment contributed less than ``abs_tol`` in magnitude and
+    the geometric tail bound
 
         |tail| <= |last| * q / (1 - q),   q = |last| / |previous|
 
@@ -323,27 +320,32 @@ def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec()) -> Quadr
         Otherwise the error is within the sum of the segments' tolerances
         plus the tail bound, even when they cancel and the sum is near 0.
     """
-    return integrate_semi_infinite_batch(lambda x, which: f(x), 1, spec)[0]
+    return integrate_semi_infinite_batch(lambda x, which: f(x), 1, spec,
+                                         tail_cut=tail_cut)[0]
 
 
 def integrate_semi_infinite_batch(f, count: int,
-                                  spec: QuadratureSpec = QuadratureSpec()
+                                  spec: QuadratureSpec = QuadratureSpec(), *,
+                                  tail_cut: float = 1.0
                                   ) -> list[QuadratureResult]:
     """Integrate ``count`` independent integrands over [0, inf) together.
 
     ``f(x, which)`` is the batched integrand: ``which[j]`` is the index
     (0 to ``count - 1``) of the integral that abscissa ``x[j]`` belongs
     to.  Each integral runs the segment march and bisection of
-    :func:`integrate_semi_infinite` on its own, and its result equals,
-    bit for bit, what that function returns for the one integrand
-    ``lambda x: f(x, index)``.  What is shared is the call: every round
-    hands the pending panels of all unfinished integrals to ``f`` as one
-    abscissa array, which pays the integrand's per-call overhead once.
+    :func:`integrate_semi_infinite` on its own, from the same leading
+    width ``tail_cut``, and its result equals, bit for bit, what that
+    function returns for the one integrand ``lambda x: f(x, index)``.
+    What is shared is the call: every round hands the pending panels of
+    all unfinished integrals to ``f`` as one abscissa array, which pays
+    the integrand's per-call overhead once.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if not 0.0 < tail_cut < math.inf:
+        raise ValueError("tail_cut must be finite and positive")
     # budget the tolerance across segments and the tail bound so the
     # summed estimate still satisfies the advertised invariant
     panel_spec = replace(spec, abs_tol=spec.abs_tol / 32.0,
                          rel_tol=spec.rel_tol / 8.0)
-    return _lockstep(f, count, panel_spec, 0.0, spec.tail_cut, spec)
+    return _lockstep(f, count, panel_spec, 0.0, tail_cut, spec)

@@ -51,7 +51,10 @@ argument array from one kernel call:
 * orders ``n >= 41``: the uniform large-order expansions of
   :math:`I_n, K_n` and of :math:`I_n', K_n'` (DLMF 10.41.3-4, polynomials
   :math:`u_k` and :math:`v_k`) carried to eighth order in ``1/n``,
-  evaluated directly in log space from one shared phase.
+  evaluated directly in log space from one shared phase.  The
+  polynomials are derived at import from their recurrences (DLMF
+  10.41.10-11) in exact rational arithmetic, and only their finished
+  coefficients are rounded to floats.
 
 :func:`scaled_modified_bessel` returns the four logs as one record,
 :class:`ScaledBesselPair`, each field shaped like the argument, and the
@@ -76,6 +79,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -98,70 +102,57 @@ __all__ = [
 # underflow), and lower orders reach smaller x.
 _SCIPY_ORDER_MAX = 40
 
-# Coefficient tables of the Debye polynomials u_k(t) and v_k(t), k = 0..8,
-# stored as
-#   u_k(t) = t**k * sum_j _UK[k][j] * t**(2*j)   (same layout for _VK).
-# Generated from the recurrence
-#   u_{k+1} = t^2 (1-t^2) u_k' / 2 + (1/8) \int_0^t (1-5 s^2) u_k ds
-# and from v_k = u_k + t (t^2-1) (u_{k-1}/2 + t u_{k-1}') (DLMF 10.41.11)
-# by scripts/gen_debye_tables.py, which the tests check bitwise.
-_UK = (
-    (1.0,),
-    (0.125, -0.20833333333333334),
-    (0.0703125, -0.4010416666666667, 0.3342013888888889),
-    (0.0732421875, -0.8912109375, 1.8464626736111112, -1.0258125964506173),
-    (0.112152099609375, -2.3640869140625, 8.78912353515625,
-     -11.207002616222994, 4.669584423426247),
-    (0.22710800170898438, -7.368794359479632, 42.53499874538846,
-     -91.81824154324002, 84.63621767460073, -28.212072558200244),
-    (0.5725014209747314, -26.491430486951554, 218.1905117442116,
-     -699.5796273761325, 1059.9904525279999, -765.2524681411817,
-     212.57013003921713),
-    (1.7277275025844574, -108.09091978839466, 1200.9029132163525,
-     -5305.646978613403, 11655.393336864534, -13586.550006434138,
-     8061.722181737309, -1919.457662318407),
-    (6.074042001273483, -493.915304773088, 7109.514302489364,
-     -41192.65496889755, 122200.46498301746, -203400.17728041555,
-     192547.00123253153, -96980.59838863752, 20204.29133096615),
-)
-_VK = (
-    (1.0,),
-    (-0.375, 0.2916666666666667),
-    (-0.1171875, 0.515625, -0.3949652777777778),
-    (-0.1025390625, 1.0892578125, -2.1305338541666665, 1.1464964313271604),
-    (-0.144195556640625, 2.7939208984375, -9.961006673177083,
-     12.386687102141204, -5.0756352428546165),
-    (-0.2775764465332031, 8.502455030168806, -47.53911624484592,
-     100.56283597592954, -91.40711508856879, 30.15773273462785),
-    (-0.6765925884246826, 30.023621218545095, -241.15793403307597,
-     760.412638452318, -1138.5082638263702, 814.6235951180321,
-     -224.71699461288668),
-    (-1.993531733751297, 120.80749858702931, -1315.2746192369575,
-     5730.098736902475, -12459.213566993121, 14409.977279551358,
-     -8497.490948317705, 2013.0897434071098),
-    (-6.883914268109947, 545.9063894860446, -7727.732937488438,
-     44243.96274437144, -130084.36594966374, 215023.04455358215,
-     -202421.2064239434, 101491.32389508576, -21064.0484088796),
-)
+# Highest k of the Debye polynomials u_k, v_k in the large-order
+# expansions, whose series thus run to 1/n**8.
+_DEBYE_ORDER = 8
+
+
+def _debye_polynomials(k_max: int):
+    """[u_0..u_k_max] and [v_0..v_k_max], exact coefficients of t**m.
+
+    u_0 = v_0 = 1, and from each u_k (DLMF 10.41.10-11)
+
+        u_{k+1} = t^2 (1 - t^2) u_k' / 2 + int_0^t (1 - 5 s^2) u_k(s) ds / 8,
+        v_{k+1} = u_{k+1} + t (t^2 - 1) (u_k / 2 + t u_k').
+
+    Termwise, c t^m in u_k puts c (m/2 + 1/(8(m+1))) on t^(m+1) and
+    -c (m/2 + 5/(8(m+3))) on t^(m+3) of u_{k+1}, and c (m + 1/2) on
+    t^(m+3), with the opposite sign on t^(m+1), of v_{k+1} - u_{k+1}.
+    The arithmetic stays exact: a float anywhere before the final
+    rounding moves some coefficients by an ulp.
+    """
+    us, vs = [[Fraction(1)]], [[Fraction(1)]]
+    for k in range(k_max):
+        u = us[k]
+        u_next = [Fraction(0)] * (len(u) + 3)
+        v_next = [Fraction(0)] * (len(u) + 3)
+        for m, c in enumerate(u):
+            u_next[m + 1] += c * (Fraction(m, 2) + Fraction(1, 8 * (m + 1)))
+            u_next[m + 3] -= c * (Fraction(m, 2) + Fraction(5, 8 * (m + 3)))
+            v_next[m + 3] += c * (m + Fraction(1, 2))
+            v_next[m + 1] -= c * (m + Fraction(1, 2))
+        us.append(u_next)
+        vs.append([a + b for a, b in zip(u_next, v_next)])
+    return us, vs
 
 
 def _series_basis() -> np.ndarray:
     """B[k] with sum_k B[k] / n**k the rows (even u, even v, odd u, odd v).
 
     Each row holds coefficients in powers of s = t**2, highest power first
-    as Horner's rule takes them.  The sum over k >= 1 of u_k(t)/n^k splits
-    into its even-k part and t times its odd-k part, both polynomials in s;
-    the I series is even + t*odd and the K series, whose terms alternate as
-    (-1)^k, is even - t*odd.  The k = 0 term (the leading 1) is left out so
-    that the series feed ``log1p``.
+    as Horner's rule takes them.  u_k and v_k are t**(k mod 2) times a
+    polynomial in s, so the coefficient of t**m goes to power m // 2 of
+    row 2 (k mod 2) + (0 for u, 1 for v).  The I series is then
+    even + t*odd and the K series, whose terms alternate as (-1)^k,
+    even - t*odd.  The k = 0 term (the leading 1) is left out so that the
+    series feed ``log1p``.
     """
-    width = max(len(row) + k // 2 for k, row in enumerate(_UK))
-    basis = np.zeros((len(_UK), 4, width))
-    for k in range(1, len(_UK)):
-        for col, table in enumerate((_UK, _VK)):
-            row = 2 * (k % 2) + col
-            coeffs = table[k]
-            basis[k, row, k // 2:k // 2 + len(coeffs)] = coeffs
+    us, vs = _debye_polynomials(_DEBYE_ORDER)
+    basis = np.zeros((_DEBYE_ORDER + 1, 4, 3 * _DEBYE_ORDER // 2 + 1))
+    for k in range(1, _DEBYE_ORDER + 1):
+        for col, poly in enumerate((us[k], vs[k])):
+            half = poly[k % 2::2]
+            basis[k, 2 * (k % 2) + col, :len(half)] = list(map(float, half))
     return basis[:, :, ::-1].copy()
 
 

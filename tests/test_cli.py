@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from coaxcasimir import (
     EccentricGeometry,
     NonFiniteIntegrandError,
     NumericsConfig,
+    QuadratureSpec,
     ResonatorParams,
     frequency_shift,
     interaction_energy,
@@ -103,6 +105,31 @@ def test_energy_echoes_dataclass_defaults(capsys):
         "order_tol": cfg.order_tol,
         "order_cap": cfg.order_cap,
     }
+
+
+def test_no_numerics_setting_is_dropped():
+    """Every numerics field is an option of the mode-sum commands, every
+    quadrature field one of ``eccentric``, and the echo names them all."""
+    quad = {f.name for f in fields(QuadratureSpec)}
+    numerics = quad | {f.name for f in fields(NumericsConfig)} - {"quad"}
+    for command in ("energy", "sweep", "fit-p", "eccentric"):
+        names = {opt.name for opt in cli._COMMANDS[command][2]}
+        expected = quad if command == "eccentric" else numerics
+        assert names & numerics == expected, command
+    assert set(cli._numerics_echo(NumericsConfig())) == numerics
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--alpha", "2", "--abs-tol", "nan"],
+    ["energy", "--alpha", "2", "--rel-tol", "inf"],
+    ["eccentric", "--inner-radius", "1", "--outer-radius", "1.01",
+     "--offset-fractions", "0.5", "--rel-tol", "nan"],
+], ids=["energy-abs-tol-nan", "energy-rel-tol-inf", "eccentric-rel-tol-nan"])
+def test_non_finite_tolerance_is_usage_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert (code, payload) == (
+        2, {"error": "tolerances must be finite and positive"})
 
 
 def test_non_finite_integrand_exits_numerical(capsys, monkeypatch):

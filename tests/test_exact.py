@@ -7,7 +7,6 @@ took the ``--slow`` path of that script.
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,10 +255,11 @@ def test_order_blocks_equal_one_order_integrals(factor, mode_sum):
     """
     for ratio, orders in ((1.1, (0, 1, 40, 41, 126)), (1.01, (700,))):
         per_order = dict(mode_sum(ratio).per_order)
-        spec = replace(DEFAULT_NUMERICS.quad, tail_cut=1.0 / (ratio - 1.0))
+        tail_cut = 1.0 / (ratio - 1.0)
         for n in orders:
             alone = integrate_semi_infinite(
-                lambda y: y * factor(n, y, ratio), spec)
+                lambda y: y * factor(n, y, ratio), DEFAULT_NUMERICS.quad,
+                tail_cut=tail_cut)
             weight = 1.0 if n == 0 else 2.0
             assert per_order[n] == weight * (alone.value
                                              * (1.0 / (4.0 * math.pi)))
@@ -309,14 +309,15 @@ def test_pressure_sums_are_one_order_integrals_at_every_order(ratio):
     drops out of the shared blocks before the other.
     """
     result = pressure_inner(ratio)
-    spec = replace(DEFAULT_NUMERICS.quad, tail_cut=1.0 / (ratio - 1.0))
+    tail_cut = 1.0 / (ratio - 1.0)
     sums = ((log_mode_factor, result.energy_result),
             (log_mode_factor_dalpha, result.derivative_result))
     for factor, one_sum in sums:
         total, streak, fired = 0.0, 0, []
         for n, contribution in one_sum.per_order:
             alone = integrate_semi_infinite(
-                lambda y: y * factor(n, y, ratio), spec)
+                lambda y: y * factor(n, y, ratio), DEFAULT_NUMERICS.quad,
+                tail_cut=tail_cut)
             weight = 1.0 if n == 0 else 2.0
             assert contribution == weight * (alone.value
                                              * (1.0 / (4.0 * math.pi)))

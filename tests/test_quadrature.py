@@ -138,9 +138,7 @@ def test_budget_exhaustion_reports_non_convergence():
 def test_tail_cut_controls_leading_panel():
     """A matched tail_cut must not change the converged answer."""
     wide = integrate_semi_infinite(
-        lambda x: np.exp(-x / 30.0) / 30.0,
-        QuadratureSpec(tail_cut=30.0),
-    )
+        lambda x: np.exp(-x / 30.0) / 30.0, tail_cut=30.0)
     default = integrate_semi_infinite(lambda x: np.exp(-x / 30.0) / 30.0)
     assert wide.converged and default.converged
     assert wide.value == pytest.approx(1.0, rel=1e-9)
@@ -150,16 +148,17 @@ def test_tail_cut_controls_leading_panel():
 def test_batch_matches_each_integral_alone():
     """Lockstep integrals return exactly their one-at-a-time results."""
     decays = np.array([0.3, 1.0, 2.5, 7.0])
-    spec = QuadratureSpec(tail_cut=0.5)
 
     def batched(x, which):
         d = decays[which]
         return np.exp(-d * x) * np.cos(d * x) + x * np.exp(-x)
 
-    results = integrate_semi_infinite_batch(batched, len(decays), spec)
+    results = integrate_semi_infinite_batch(batched, len(decays),
+                                            tail_cut=0.5)
     assert len(results) == len(decays)
     for i, result in enumerate(results):
-        alone = integrate_semi_infinite(lambda x: batched(x, i), spec)
+        alone = integrate_semi_infinite(lambda x: batched(x, i),
+                                        tail_cut=0.5)
         assert result == alone
         assert result.converged
 
@@ -239,14 +238,15 @@ def test_bound_validation():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1e-9)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuadratureSpec(rel_tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuadratureSpec(abs_tol=tol)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tail_cut=0.0)
+    with pytest.raises(ValueError, match="tail_cut"):
+        integrate_semi_infinite(lambda x: np.exp(-x), tail_cut=0.0)
 
 
 def test_shape_mismatch_raises():
@@ -291,8 +291,6 @@ def test_cancelling_semi_infinite_integral_converges():
 def test_exponential_tail_families(decay):
     """integral_0^inf e^(-d x) dx = 1/d across decay scales."""
     result = integrate_semi_infinite(
-        lambda x: np.exp(-decay * x),
-        QuadratureSpec(tail_cut=1.0 / decay),
-    )
+        lambda x: np.exp(-decay * x), tail_cut=1.0 / decay)
     assert result.converged
     assert result.value == pytest.approx(1.0 / decay, rel=1e-9)

@@ -4,10 +4,9 @@ Frozen expected values were generated by ``tests/oracles.py`` (mpmath
 at 30 digits, independent algorithms); see that module to regenerate.
 """
 
-import importlib.util
 import math
 import warnings
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +15,7 @@ from scipy import special
 
 from coaxcasimir.specfun import (
     _SCIPY_ORDER_MAX,
-    _UK,
-    _VK,
+    _debye_polynomials,
     _log_ik_debye,
     _log_ik_scipy,
     _pair_logs,
@@ -262,16 +260,29 @@ def test_kernels_return_four_logs_shaped_like_argument(kernel, n, x):
         assert np.all(np.isfinite(log_value))
 
 
-def test_debye_tables_match_their_generator():
-    """The embedded u_k and v_k tables are the script's output, bitwise."""
-    pytest.importorskip("sympy")
-    path = Path(__file__).resolve().parents[1] / "scripts" / "gen_debye_tables.py"
-    spec = importlib.util.spec_from_file_location("gen_debye_tables", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    u_rows, v_rows = module.coefficient_tables(len(_UK) - 1)
-    assert tuple(map(tuple, u_rows)) == _UK
-    assert tuple(map(tuple, v_rows)) == _VK
+# printed Debye polynomials (DLMF 10.41.10-11; A&S 9.3.9, 9.3.13):
+# k: (u_k, v_k), each as ({power of t: numerator}, denominator)
+PRINTED_DEBYE = {
+    1: (({1: 3, 3: -5}, 24), ({1: -9, 3: 7}, 24)),
+    2: (({2: 81, 4: -462, 6: 385}, 1152),
+        ({2: -135, 4: 594, 6: -455}, 1152)),
+    3: (({3: 30375, 5: -369603, 7: 765765, 9: -425425}, 414720),
+        ({3: -42525, 5: 451737, 7: -883575, 9: 475475}, 414720)),
+}
+
+
+def test_debye_polynomials_match_printed_values():
+    """The recurrence gives u_1..u_3 and v_1..v_3 exactly as printed.
+
+    Orders 4-8 are covered by the large-order pins, the regime seam and
+    the Wronskian tests.
+    """
+    us, vs = _debye_polynomials(3)
+    assert us[0] == vs[0] == [1]
+    for k, printed in PRINTED_DEBYE.items():
+        for poly, (numerators, denominator) in zip((us[k], vs[k]), printed):
+            assert poly == [Fraction(numerators.get(m, 0), denominator)
+                            for m in range(3 * k + 1)]
 
 
 @given(n=orders, lx=log_x)
