@@ -73,7 +73,11 @@ rounds, and their integrand hands the Bessel kernel each distinct
 energy sum's abscissae and the e' formula to those of the e' sum.  Every
 order of every sum keeps its own adaptive panels and every kernel is
 elementwise, so each per-order integral, and each sum, is bit for bit
-what that sum alone, one order at a time, gives.  The stopping rule
+what that sum alone, one order at a time, gives.  Within each
+per-order integral, the doubling segments of its march run side by
+side as well and fold in order (:mod:`.quadrature`): fewer rounds, the
+same bits, and a segment started past the march's stop counts in no
+field.  The stopping rule
 reads each sum's orders one by one; the orders of its last block past
 its stopping order are discarded and count in no field of its result,
 and no block reaches past ``order_cap``.
@@ -179,9 +183,9 @@ DEFAULT_NUMERICS = NumericsConfig()
 #: lockstep rounds near contact, where a sum needs about 1/(alpha - 1)
 #: orders.  Every block through order 144 is 16 wide, so the default
 #: sweep (at most 138 orders) runs the blocks it ran with a fixed width
-#: of 16.  The 1,080 orders at alpha = 1.01 take 29 blocks and 347
-#: lockstep rounds (one mode-factor call each), where a fixed width of 16
-#: took 68 blocks and 716 rounds.
+#: of 16.  The 1,080 orders at alpha = 1.01 take 29 blocks and 187
+#: lockstep rounds (one mode-factor call each, the n = 0 term's
+#: included), where a fixed width of 16 takes 68 blocks and 419 rounds.
 _BLOCK_MIN = 16
 _BLOCK_MAX = 64
 

@@ -18,7 +18,12 @@ exponentially (true of every caller in this package).  They are summed
 over segments of doubling width, ``[0, c], [c, 3c], [3c, 7c], ...``,
 where ``c`` is the integrators' ``tail_cut`` keyword; the march stops
 once a segment contributes less than ``abs_tol`` and a geometric-decay
-bound on the remaining tail drops below ``abs_tol`` as well.
+bound on the remaining tail drops below ``abs_tol`` as well.  The
+segments of a march run side by side: each starts as soon as the march
+is sure, or nearly so, to need it, and each bisects its own panels as it
+would alone.  Finished segments fold into the result in march order, so
+it is bit for bit that of a march run one segment at a time; a segment
+started past the stop counts in no field of the result.
 
 Integrand callables must be vectorized: they receive an ndarray of
 abscissae and return an ndarray of values.  Batched integrands, for
@@ -141,65 +146,131 @@ def _estimates(fx: np.ndarray, half: np.ndarray, width: np.ndarray):
 
 
 class _Integral:
-    """One integral: its finished segments' sums, its march from [0, hi]."""
+    """One integral: its started segments, and the fold of those finished.
+
+    ``ids`` names the started segments in march order and ``parts`` maps
+    each finished one to its (value, error, evaluations, converged).
+    Finished segments fold into the totals in march order, so every sum
+    is the one a march running one segment at a time would form.
+    """
 
     value = error = 0.0
-    evaluations = segments = 0
-    converged, last, tail = True, None, None
+    evaluations = folded = 0
+    converged, tail, done = True, None, False
 
     def __init__(self, hi: float):
         self.hi = self.width = hi
+        self.ids, self.parts = [], {}
 
-    def march(self, spec: QuadratureSpec, contrib: float):
-        """The segment after one of magnitude ``contrib``, or None."""
-        stop_tol = spec.abs_tol / 4.0
-        if self.last is not None and contrib <= stop_tol:
-            # q < 0.5 only as the segments shrink; a zero one bounds by 0
-            q = contrib / max(self.last, contrib) if contrib > 0.0 else 0.0
-            if q < 0.5 and (bound := contrib * q / (1.0 - q)) <= stop_tol:
-                self.tail = bound
-                return None
-        self.last, self.segments = contrib, self.segments + 1
-        if self.segments == spec.max_subdivisions:
-            return None
+    def extend(self) -> tuple[float, float]:
+        """The bounds of the segment after the last, twice as wide."""
         lo, self.width = self.hi, 2.0 * self.width
         self.hi = lo + self.width
         return lo, self.hi
+
+    def ends(self, spec: QuadratureSpec | None, k: int):
+        """Whether the march ends after segment k, and the tail bound it
+        then reports (None when the segment budget ends it).  Known once
+        segments k - 1 and k have finished."""
+        if spec is None:
+            return True, None
+        stop_tol = spec.abs_tol / 4.0
+        contrib = abs(self.parts[self.ids[k]][0])
+        if k and contrib <= stop_tol:
+            last = abs(self.parts[self.ids[k - 1]][0])
+            # q < 0.5 only as the segments shrink; a zero one bounds by 0
+            q = contrib / max(last, contrib) if contrib > 0.0 else 0.0
+            if q < 0.5 and (bound := contrib * q / (1.0 - q)) <= stop_tol:
+                return True, bound
+        return k + 1 == spec.max_subdivisions, None
+
+    def advance(self, spec: QuadratureSpec | None):
+        """Fold the finished segments next in march order.
+
+        Returns the started segments past a stop, which count in no
+        field, and whether the last started segment's decision is known
+        and goes on, so that the segment after it is due.
+        """
+        while (k := self.folded) < len(self.ids) and self.ids[k] in self.parts:
+            value, error, evaluations, converged = self.parts[self.ids[k]]
+            self.value += value
+            self.error += error
+            self.evaluations += evaluations
+            self.converged = self.converged and converged
+            self.folded += 1
+            self.done, self.tail = self.ends(spec, k)
+            if self.done:
+                return self.ids[k + 1:], False
+        k = len(self.ids) - 1
+        return [], (self.ids[k] in self.parts
+                    and (k == 0 or self.ids[k - 1] in self.parts)
+                    and not self.ends(spec, k)[0])
 
 
 def _lockstep(f, count: int, spec: QuadratureSpec, lo: float, hi: float,
               march_spec: QuadratureSpec | None = None) -> list:
     """Run ``count`` adaptive integrals together; return their results.
 
-    Each integral bisects ``[lo, hi]`` worst panel first; given
-    ``march_spec``, it marches on over doubling segments until its tail
-    is bounded.  Once every panel's error sits at its rounding floor, no
-    bisection can lower the total, so a segment counts as converged even
-    above the requested tolerance (an integrand whose parts cancel).
+    The unit the lockstep advances is the segment: ``[lo, hi]`` alone,
+    or, given ``march_spec``, the doubling segments of the march from
+    it.  Each segment bisects its own panels worst panel first, so it
+    evaluates the panels it would evaluate alone, in the same order.
+    Segment 1 starts with segment 0 when the budget allows two segments.
+    Segment k + 1 starts after segment k's first round if that round's
+    estimate already exceeds the stop tolerance, so the march cannot
+    stop there; else once the stop decision after segment k, which reads
+    only segments k - 1 and k, is known to go on.  The first segment whose
+    decision is to stop ends the integral; a segment started past it
+    leaves the pending panels and counts in no field.  Once every
+    panel's error sits at its rounding floor, no bisection can lower the
+    total, so a segment counts as converged even above the requested
+    tolerance (an integrand whose parts cancel).
     """
-    bins = count * np.arange(3)[:, None]
+    stop_tol = march_spec.abs_tol / 4.0 if march_spec else math.inf
+    integrals = [_Integral(hi) for _ in range(count)]
+    # each segment's integral and bisection count, by segment id
+    owner, splits = np.empty(0, dtype=int), np.empty(0, dtype=int)
+    starts = []
+
+    def start(i, bounds):
+        integrals[i].ids.append(len(owner) + len(starts))
+        starts.append((i, *bounds))
 
     def sums(rows, owners, ids):
-        """Each integral's sums of ``rows``, in the order of ``owners``:
+        """Each segment's sums of ``rows``, in the order of ``owners``:
         creation order while it adapts, left to right when it finishes."""
-        return np.bincount((owners + bins).ravel(), rows.ravel(),
-                           3 * count).reshape(3, count)[:, ids]
+        n = len(owner)
+        return np.bincount((owners + n * np.arange(3)[:, None]).ravel(),
+                           rows.ravel(), 3 * n).reshape(3, n)[:, ids]
 
     def settled(value, error, floor):
         return error <= np.maximum(np.maximum(
             spec.abs_tol, spec.rel_tol * np.abs(value)), floor)
 
-    integrals = [_Integral(hi) for _ in range(count)]
-    splits = np.zeros(count, dtype=int)
-    # the pending panels: owner, and rows lo, hi, value, error, floor
+    for i in range(count):
+        start(i, (lo, hi))
+        if march_spec and march_spec.max_subdivisions >= 2:
+            start(i, integrals[i].extend())
+    # the pending panels: segment, and rows lo, hi, value, error, floor
     own, panels = np.empty(0, dtype=int), np.empty((5, 0))
-    new_own = np.arange(count)
-    new_lo, new_hi = np.full(count, lo), np.full(count, hi)
-    while len(new_own):
+    new_own, new_lo, new_hi = np.empty(0, dtype=int), np.empty(0), np.empty(0)
+    while True:
+        # the first panels of the segments started since the last round
+        fresh = np.arange(len(owner), len(owner) + len(starts))
+        if starts:
+            which, first_lo, first_hi = zip(*starts)
+            starts.clear()
+            owner = np.concatenate((owner, which))
+            splits = np.concatenate((splits, np.zeros(len(fresh), dtype=int)))
+            new_own = np.concatenate((new_own, fresh))
+            new_lo = np.concatenate((new_lo, first_lo))
+            new_hi = np.concatenate((new_hi, first_hi))
+        elif not len(new_own):
+            break
         width = new_hi - new_lo
         half = 0.5 * width
         x = (0.5 * (new_lo + new_hi) + half * _NODES[:, None]).T.ravel()
-        fx = np.asarray(f(x, new_own.repeat(len(_NODES))), dtype=float)
+        fx = np.asarray(f(x, owner[new_own].repeat(len(_NODES))), dtype=float)
         if fx.shape != x.shape:
             raise ValueError("integrand must return one value per abscissa")
         finite = np.isfinite(fx)
@@ -209,7 +280,7 @@ def _lockstep(f, count: int, spec: QuadratureSpec, lo: float, hi: float,
         own = np.concatenate((own, new_own))
         panels = np.concatenate((panels, (new_lo, new_hi, *_estimates(
             fx, half, width))), axis=1)
-        # each integral's worst panel: the largest error, ties to the left
+        # each segment's worst panel: the largest error, ties to the left
         order = np.lexsort((-panels[0], panels[3], own))
         grouped = own[order]
         last = np.empty(len(own), dtype=bool)
@@ -224,36 +295,43 @@ def _lockstep(f, count: int, spec: QuadratureSpec, lo: float, hi: float,
                 | (mid <= wlo) | (mid >= whi))
         go = ~done
         split, cut = ids[go], worst[go]
-        keep = np.ones(len(own), dtype=bool)
-        keep[cut] = False
         splits[split] += 1
         new_own = split.repeat(2)
         new_lo, new_hi = wlo[go].repeat(2), whi[go].repeat(2)
         new_lo[1::2] = new_hi[::2] = mid[go]
+        # the segments that finish, or are dropped past a stop, this round
+        gone = np.zeros(len(owner), dtype=bool)
         if done.any():
             ids = ids[done]
-            closing = (own[:, None] == ids).any(axis=1)
-            keep &= ~closing
+            gone[ids] = True
+            closing = gone[own]
             by_lo = np.lexsort((panels[0], own, ~closing))[:closing.sum()]
             part = sums(panels[2:, by_lo], own[by_lo], ids)
-            going = []
-            for i, value, error, _, evaluations, converged in zip(
-                    ids.tolist(), *part.tolist(),
+            touched = {}
+            for s, i, value, error, evaluations, converged in zip(
+                    ids.tolist(), owner[ids].tolist(), *part[:2].tolist(),
                     (len(_NODES) * (1 + 2 * splits[ids])).tolist(),
                     settled(*part).tolist()):
-                one = integrals[i]
-                one.value += value
-                one.error += error
-                one.evaluations += evaluations
-                one.converged = one.converged and converged
-                if march_spec and (seg := one.march(march_spec, abs(value))):
-                    going.append((i, *seg))
-            splits[ids] = 0
-            if going:
-                new_own, new_lo, new_hi = (
-                    np.concatenate(pair) for pair in
-                    zip((new_own, new_lo, new_hi), zip(*going)))
+                one = touched[i] = integrals[i]
+                one.parts[s] = value, error, evaluations, converged
+            for i, one in touched.items():
+                dropped, due = one.advance(march_spec)
+                gone[dropped] = True
+                if due:
+                    start(i, one.extend())
+        # a new segment whose first estimate exceeds the stop tolerance
+        # cannot end the march, so the next one starts beside it
+        big = fresh[np.abs(panels[2, len(own) - len(fresh):]) > stop_tol]
+        for s, i in zip(big.tolist(), owner[big].tolist()):
+            one = integrals[i]
+            if (not one.done and one.ids[-1] == s
+                    and len(one.ids) < march_spec.max_subdivisions):
+                start(i, one.extend())
+        keep = ~gone[own]
+        keep[cut] = False
         own, panels = own[keep], panels[:, keep]
+        live = ~gone[new_own]
+        new_own, new_lo, new_hi = new_own[live], new_lo[live], new_hi[live]
     # A marching integral converged when each segment did and its tail is
     # bounded: its error is then within the sum of the segments' tolerances
     # plus the bound.  A test against rel_tol * |value| would fail a sum
@@ -312,6 +390,16 @@ def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec(), *,
     guarantees with q well under 1/2).  The bound is added to the
     reported error estimate.
 
+    The segments run concurrently and fold into the result in order, so
+    it is bit for bit that of the march run one segment at a time.
+    Segment 1 starts with segment 0, and segment k + 1 beside segment k
+    once segment k's first round estimates more than ``abs_tol / 4``, or
+    else once the stop decision after segment k goes on.  So ``f`` sees
+    no abscissa past the stop but in one case: when segment k's first
+    estimate exceeds ``abs_tol / 4`` and its final value does not, a
+    started segment k + 1 may be evaluated and then dropped, counting in
+    no field of the result.
+
     Returns
     -------
     QuadratureResult
@@ -337,8 +425,10 @@ def integrate_semi_infinite_batch(f, count: int,
     width ``tail_cut``, and its result equals, bit for bit, what that
     function returns for the one integrand ``lambda x: f(x, index)``.
     What is shared is the call: every round hands the pending panels of
-    all unfinished integrals to ``f`` as one abscissa array, which pays
-    the integrand's per-call overhead once.
+    the running segments of all unfinished integrals to ``f`` as one
+    abscissa array, which pays the integrand's per-call overhead once.
+    As for one integral, a segment started past its integral's stop
+    counts in no field of that integral's result.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

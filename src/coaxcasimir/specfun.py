@@ -186,7 +186,8 @@ def _validate_order_argument(n, x):
     elif np.asarray(n).dtype.kind not in "iu" or np.shape(n) != x.shape:
         raise ValueError("an order array must hold integers and match the "
                          "argument's shape")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+    # NaN fails both comparisons; an empty argument passes
+    if x.size and not (x.min() > 0.0 and x.max() < math.inf):
         raise ValueError("argument must be finite and strictly positive")
     return np.abs(n).astype(int, copy=False), x
 

@@ -65,6 +65,51 @@ SEMI_INFINITE_CASES = [
 ]
 
 DEFAULT = QuadratureSpec()
+CAPPED = QuadratureSpec(max_subdivisions=3)
+
+# The march's integrands and their leading widths (tail_cut).
+MARCH_CASES = {
+    "exp(-x)": (lambda x: np.exp(-x), 1.0),
+    "exp(-x/30)/30": (lambda x: np.exp(-x / 30.0) / 30.0, 1.0),
+    "exp(-x)cos 3x": (lambda x: np.exp(-x) * np.cos(3.0 * x), 1.0),
+    "exp(-x)(1-x)": (lambda x: np.exp(-x) * (1.0 - x), 1.0),
+    "x^2 exp(-0.2x)": (lambda x: x * x * np.exp(-0.2 * x), 0.5),
+    "1/(1+x)^6": (lambda x: 1.0 / (1.0 + x) ** 6, 1.0),
+}
+# (value.hex(), error_estimate.hex(), evaluations, converged) of
+# integrate_semi_infinite with the default spec and with CAPPED (an
+# unconverged march of three segments), as the march gave them when it
+# ran one segment at a time: running segments side by side must keep
+# every bit.
+MARCH_PINS = {
+    "exp(-x)": (
+        ("0x1.0000000000000p+0", "0x1.197a8a908cebcp-46", 225, True),
+        ("0x1.ff887a518f6d6p-1", "0x1.16fff0b6db8b2p-46", 45, False)),
+    "exp(-x/30)/30": (
+        ("0x1.0000000000000p+0", "0x1.200d0a3a969adp-46", 285, True),
+        ("0x1.aa35cd9451b73p-3", "0x1.4cfa089bdfd72p-49", 45, False)),
+    "exp(-x)cos 3x": (
+        ("0x1.9999999999998p-4", "0x1.7d5f1fd96055ep-45", 675, True),
+        ("0x1.9abdf854ab396p-4", "0x1.02ee0f5e942e1p-47", 165, False)),
+    "exp(-x)(1-x)": (
+        ("0x1.1d16297147eb5p-55", "0x1.ff5ceebcec503p-44", 255, True),
+        ("0x1.a253e28a01480p-8", "0x1.fcc20e497fc98p-44", 45, False)),
+    "x^2 exp(-0.2x)": (
+        ("0x1.f3fffffffffffp+7", "0x1.5cb00f44123e4p-31", 240, True),
+        ("0x1.1121f6dbac67ep+3", "0x1.aac511b73d625p-44", 45, False)),
+    "1/(1+x)^6": (
+        ("0x1.9999999999999p-3", "0x1.af79c2c2d5cdep-40", 345, True),
+        ("0x1.9996666666666p-3", "0x1.af71e6b2e5a97p-40", 135, False)),
+}
+# x^2 exp(-0.2x) at the batch's leading width 1.0, in the same layout.
+QUADRATIC_AT_UNIT_CUT = (
+    ("0x1.f3ffffffffffdp+7", "0x1.c439925963de2p-31", 225, True),
+    ("0x1.4d01287802aa1p+5", "0x1.0428e79dc214ep-41", 45, False))
+
+
+def _pinned(result):
+    return (result.value.hex(), result.error_estimate.hex(),
+            result.evaluations, result.converged)
 
 
 def _assert_honest(result, exact, spec):
@@ -294,3 +339,51 @@ def test_exponential_tail_families(decay):
         lambda x: np.exp(-decay * x), tail_cut=1.0 / decay)
     assert result.converged
     assert result.value == pytest.approx(1.0 / decay, rel=1e-9)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["default", "capped"])
+@pytest.mark.parametrize("name", list(MARCH_CASES))
+def test_march_is_pinned_bit_for_bit(name, capped):
+    f, tail_cut = MARCH_CASES[name]
+    result = integrate_semi_infinite(f, CAPPED if capped else DEFAULT,
+                                     tail_cut=tail_cut)
+    assert _pinned(result) == MARCH_PINS[name][capped]
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["default", "capped"])
+def test_march_batch_is_pinned_bit_for_bit(capped):
+    """All six integrands in one batch, at the shared leading width 1.0."""
+    fs = [f for f, _ in MARCH_CASES.values()]
+
+    def batched(x, which):
+        out = np.empty_like(x)
+        for i, f in enumerate(fs):
+            out[which == i] = f(x[which == i])
+        return out
+
+    results = integrate_semi_infinite_batch(batched, len(fs),
+                                            CAPPED if capped else DEFAULT)
+    expected = [QUADRATIC_AT_UNIT_CUT[capped] if name == "x^2 exp(-0.2x)"
+                else pins[capped] for name, pins in MARCH_PINS.items()]
+    assert [_pinned(result) for result in results] == expected
+
+
+def test_march_evaluates_nothing_past_its_stop():
+    """exp(-x) stops after [63, 127]; an integrand that is NaN beyond it
+    gives the clean result, so no later segment was ever started."""
+    clean = integrate_semi_infinite(lambda x: np.exp(-x))
+    assert integrate_semi_infinite(
+        lambda x: np.where(x > 127.0, np.nan, np.exp(-x))) == clean
+
+
+def test_march_segments_share_rounds():
+    """exp(-x) takes seven segments; a later segment starts as soon as
+    the march is sure to need it, beside the ones still bisecting."""
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(-x)
+
+    assert integrate_semi_infinite(f).evaluations == 225
+    assert len(calls) == 6

@@ -471,10 +471,14 @@ def test_empty_argument_gives_empty_logs(n, y):
                 assert log_value.shape == shape
 
 
-@pytest.mark.parametrize("bad_x", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad_x", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_domain_errors_on_argument(bad_x):
-    with pytest.raises(ValueError):
-        scaled_modified_bessel(3, bad_x)
+    """A zero, negative, NaN or infinite argument is refused, alone or
+    among good ones; an empty argument is in the domain."""
+    for x in (bad_x, [1.0, bad_x, 2.0]):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            scaled_modified_bessel(3, x)
+    assert scaled_modified_bessel(3, []).log_i.shape == (0,)
 
 
 def test_domain_errors_on_order_and_ratio():
