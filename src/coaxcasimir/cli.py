@@ -360,6 +360,8 @@ def _cmd_energy(args) -> int:
     }
     if args.per_order:
         payload["per_order"] = [[n, value] for n, value in result.per_order]
+        if result.tail is not None:
+            payload["per_order"].append(["tail", result.tail])
     if not result.converged:
         payload["error"] = "energy mode sum did not converge"
     _emit(_json_text(payload), args.out)

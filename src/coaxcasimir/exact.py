@@ -60,11 +60,11 @@ rule as the energy, and the pressure's error bound is
 :math:`2\,\delta\hat e + \alpha\,\delta\hat e\,'`, each
 :math:`\delta` the quadrature plus angular-truncation error of its sum.
 
-Both mode sums integrate the orders in lockstep blocks: the n = 0 term
-alone, then consecutive orders from n = 1 on in blocks 16 wide through
-order 144 and wider beyond, up to 64 (:func:`_order_blocks`).  One
-driver, :func:`_mode_sums`, runs any number of sums over the same
-orders as one: each block is one
+Each mode sum is a head of integer orders and, near contact, a tail.
+The head integrates the orders in lockstep blocks: the n = 0 term
+alone, then consecutive orders from n = 1 to 144 in blocks 16 wide
+(:func:`_order_blocks`).  One driver, :func:`_mode_sums`, runs any
+number of sums over the same orders as one: each block is one
 :func:`~.quadrature.integrate_semi_infinite_batch` call over the block's
 orders for every sum still running, and a sum that has stopped drops out
 of later blocks.  The pressure's two sums so share their lockstep
@@ -77,10 +77,25 @@ what that sum alone, one order at a time, gives.  Within each
 per-order integral, the doubling segments of its march run side by
 side as well and fold in order (:mod:`.quadrature`): fewer rounds, the
 same bits, and a segment started past the march's stop counts in no
-field.  The stopping rule
-reads each sum's orders one by one; the orders of its last block past
-its stopping order are discarded and count in no field of its result,
-and no block reaches past ``order_cap``.
+field.  The stopping rule reads each sum's orders one by one; the
+orders of its last block past its stopping order are discarded and
+count in no field of its result, and no block reaches past
+``order_cap``.
+
+A sum needs about 10/(alpha - 1) orders, so below alpha of about 1.097
+one may still run after order N = 144.  Its orders past N then come as one
+tail (:func:`_add_tails`).  The per-order integral F(nu) is smooth in
+the order, and the large-order Bessel expansions hold at real nu
+(DLMF 10.41), so by Euler-Maclaurin (DLMF 2.10) the tail
+2 sum_{n > N} F(n) is 2 [int_N^inf F(nu) dnu minus Gregory's end terms].
+The end terms take backward differences of F at N from the head's own
+F(N - 5) to F(N), so they cost no extra integral; the first term
+dropped is the tail's truncation error.  The nu-integral is one outer
+semi-infinite quadrature per sum, all of them in one lockstep, whose
+batched integrand is a batch of radial integrals, one per nu node; an
+outer segment started past its march's stop counts in no field, its
+radial integrals included.  A sum that stops by order 144 has no tail and keeps every bit it had
+before the tail existed.
 """
 
 from __future__ import annotations
@@ -96,7 +111,12 @@ from .quadrature import (
     integrate_semi_infinite_batch,
 )
 from .approx import _validate_ratio
-from .specfun import reflection_ratio_logs, reflection_ratio_logs_dalpha
+from .specfun import (
+    _ratio_logs,
+    _ratio_logs_dalpha,
+    reflection_ratio_logs,
+    reflection_ratio_logs_dalpha,
+)
 
 __all__ = [
     "DEFAULT_NUMERICS",
@@ -154,11 +174,18 @@ class NumericsConfig:
     """Knobs for the mode sums.
 
     ``order_tol`` stops the angular sum once two consecutive orders each
-    contribute less than ``order_tol`` of the accumulated total;
-    ``order_cap`` is the hard ceiling (hitting it sets a flag on the
-    result instead of raising).  The same knobs drive the energy sum and
-    the pressure's alpha-derivative sum: the derivative is analytic, so
-    it needs no step of its own.
+    contribute less than ``order_tol`` of the accumulated total; a sum
+    still running after order 144 adds the orders past it as one tail,
+    an integral over real order whose outer absolute tolerance is
+    ``order_tol`` times the total so far.  ``order_cap`` bounds the
+    orders summed one by one, which end at ``min(order_cap, 144)``.  With
+    ``order_cap`` up to 144 it is a hard ceiling: a sum that has not
+    stopped by then is flagged as capped (a flag on the result, not an
+    exception).  Above 144 the tail ends every sum, and every such cap
+    gives the same result; the double-integral route, which has no
+    tail, sums up to ``order_cap`` orders.  The same knobs drive the
+    energy sum and the pressure's alpha-derivative sum: the derivative
+    is analytic, so it needs no step of its own.
     """
 
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
@@ -174,20 +201,23 @@ class NumericsConfig:
 
 DEFAULT_NUMERICS = NumericsConfig()
 
-#: Width bounds of the lockstep order blocks: the block from order
-#: ``first`` on has ``min(_BLOCK_MAX, max(_BLOCK_MIN, first // 8))``
-#: orders.  One Bessel kernel call per regime serves the pending panels
-#: of a whole block, and the orders of the last block past the stopping
-#: order are wasted work (at most ``_BLOCK_MAX - 1`` orders).  Narrow
-#: blocks keep that waste small where sums stop early; wide ones cut the
-#: lockstep rounds near contact, where a sum needs about 1/(alpha - 1)
-#: orders.  Every block through order 144 is 16 wide, so the default
-#: sweep (at most 138 orders) runs the blocks it ran with a fixed width
-#: of 16.  The 1,080 orders at alpha = 1.01 take 29 blocks and 187
-#: lockstep rounds (one mode-factor call each, the n = 0 term's
-#: included), where a fixed width of 16 takes 68 blocks and 419 rounds.
-_BLOCK_MIN = 16
-_BLOCK_MAX = 64
+#: The orders 1 to ``_HEAD`` are summed one by one, in lockstep blocks of
+#: ``_BLOCK`` orders.  One Bessel kernel call per regime serves the
+#: pending panels of a whole block, and the orders of the last block past
+#: the stopping order are wasted work (at most ``_BLOCK - 1`` orders).  A
+#: sum still running after order ``_HEAD`` adds the orders past it as an
+#: integral over real order (:func:`_add_tails`).  The default sweep (up
+#: to order 138), every pinned ratio and the double route stop sooner.
+_BLOCK = 16
+_HEAD = 144
+
+#: Gregory's end terms in backward differences at the last summed order
+#: N: sum_{n > N} F(n) = int_N^inf F(nu) dnu - sum_k _GREGORY[k] nabla^k
+#: F(N), and _GREGORY_NEXT |nabla^5 F(N)| is the first term dropped.  This
+#: is Euler-Maclaurin (DLMF 2.10.1) with the end derivatives of F taken
+#: from its values at N - 5 to N, which the head has already summed.
+_GREGORY = (1.0 / 2.0, 1.0 / 12.0, 1.0 / 24.0, 19.0 / 720.0, 3.0 / 160.0)
+_GREGORY_NEXT = 863.0 / 60480.0
 
 #: Looser tolerances for the double-integral route, which nests two
 #: adaptive integrals per order and is meant as a cross-check at the
@@ -205,10 +235,19 @@ class EnergyResult:
     ``value`` is dimensionless (units hbar c L / a^2) and negative.  The
     pressure's alpha-derivative sum reports in the same record, with a
     positive ``value`` in the same units.
-    ``per_order`` holds (n, contribution) with the n >= 1 entries already
-    carrying their double multiplicity, so the contributions sum to
-    ``value``.  ``truncation_error`` is a geometric bound on the dropped
-    angular tail; ``quad_error`` accumulates the quadrature estimates.
+    ``per_order`` holds (n, contribution) for the orders summed one by
+    one, the n >= 1 entries already carrying their double multiplicity.
+    ``tail`` is, for a sum that ran past order 144, the contribution of
+    all the orders above it, and None otherwise; the contributions and
+    the tail sum to ``value``.  The repr leaves ``tail`` out, so it reads
+    the same for every sum without one.  ``order_max`` is the highest
+    order summed one by one.
+    ``truncation_error`` is, with a tail, the first Gregory term the tail
+    drops, and otherwise a geometric bound on the orders past the
+    stopping order.  ``quad_error`` accumulates the quadrature estimates:
+    the radial integrals of the head and, for the tail, the outer
+    nu-integral's estimate plus the radial estimates integrated over nu.
+    ``evaluations`` counts integrand points of the radial integrals.
     """
 
     value: float
@@ -219,6 +258,7 @@ class EnergyResult:
     evaluations: int
     order_capped: bool
     quad_converged: bool
+    tail: float | None = field(default=None, repr=False)
 
     @property
     def error(self) -> float:
@@ -314,7 +354,9 @@ class _OrderSum:
     n = 0 term counts once and the n >= 1 terms twice.  The sum stops at
     the second consecutive order contributing less than ``order_tol`` of
     the running total, or at ``order_cap`` (flagged as capped); what was
-    computed beyond it is never added and counts nowhere.
+    computed beyond it is never added and counts nowhere.  A sum that
+    has not stopped may instead end with :meth:`add_tail`, all orders
+    past the last one added at once.
     """
 
     def __init__(self, cfg: NumericsConfig):
@@ -324,6 +366,7 @@ class _OrderSum:
         self.evaluations = self.small_streak = 0
         self.quad_ok = True
         self.capped = False
+        self.tail = self.tail_truncation = None
 
     def add(self, part) -> bool:
         n = len(self.per_order)
@@ -342,14 +385,37 @@ class _OrderSum:
         self.capped = n >= self.cfg.order_cap
         return self.capped
 
+    def add_tail(self, integral: float, error: float, evaluations: int,
+                 converged: bool) -> None:
+        """Add the orders past the last one added, N, as the tail.
+
+        ``integral`` is int_N^inf F(nu) dnu of the per-order integral F,
+        with its ``error``; the entry is 2 sum_{n > N} F(n), which
+        Gregory's end terms form from it and from F(N - 5) to F(N).
+        """
+        f = [contrib / 2.0 for _, contrib in self.per_order[-6:]]
+        diffs = [f[-1]]
+        for _ in range(5):
+            f = [b - a for a, b in zip(f, f[1:])]
+            diffs.append(f[-1])
+        ends = math.fsum(g * d for g, d in zip(_GREGORY, diffs))
+        self.tail = 2.0 * (integral - ends)
+        self.tail_truncation = 2.0 * _GREGORY_NEXT * abs(diffs[5])
+        self.total += self.tail
+        self.quad_error += 2.0 * error
+        self.evaluations += evaluations
+        self.quad_ok = self.quad_ok and converged
+
     def result(self) -> EnergyResult:
-        # geometric bound on the dropped tail from the last two magnitudes
-        raw = [abs(contrib) for _, contrib in self.per_order[-2:]]
-        if len(raw) >= 2 and raw[-2] > 0.0 and raw[-1] < raw[-2]:
-            q = raw[-1] / raw[-2]
-            truncation = raw[-1] * q / (1.0 - q)
-        else:
-            truncation = raw[-1]
+        truncation = self.tail_truncation
+        if self.tail is None:
+            # geometric bound on the dropped tail from the last two magnitudes
+            raw = [abs(contrib) for _, contrib in self.per_order[-2:]]
+            if len(raw) >= 2 and raw[-2] > 0.0 and raw[-1] < raw[-2]:
+                q = raw[-1] / raw[-2]
+                truncation = raw[-1] * q / (1.0 - q)
+            else:
+                truncation = raw[-1]
         return EnergyResult(
             value=self.total,
             per_order=tuple(self.per_order),
@@ -359,6 +425,7 @@ class _OrderSum:
             evaluations=self.evaluations,
             order_capped=self.capped,
             quad_converged=self.quad_ok,
+            tail=self.tail,
         )
 
 
@@ -383,31 +450,35 @@ def interaction_energy(ratio: float,
     EnergyResult
     """
     ratio = _validate_ratio(ratio)
-    return _mode_sums(lambda y, n, sums: y * log_mode_factor(n, y, ratio),
-                      1, ratio, cfg)[0]
+    # The integer orders go through log_mode_factor, which
+    # perfbench/tracer.py wraps to time the mode-factor layer; it refuses
+    # real orders, so the tail calls the private kernel.
+    return _mode_sums(
+        lambda y, n, sums: y * log_mode_factor(n, y, ratio), 1, ratio, cfg,
+        tail_integrand=lambda y, nu, sums: y * _energy_factor(
+            *_ratio_logs(nu, y, ratio)[:2]))[0]
 
 
 def _order_blocks(order_cap: int):
     """The lockstep blocks of the orders 1 to ``order_cap``, as arrays."""
-    first = 1
-    while first <= order_cap:
-        width = min(_BLOCK_MAX, max(_BLOCK_MIN, first // 8))
-        yield np.arange(first, min(first + width, order_cap + 1))
-        first += width
+    for first in range(1, order_cap + 1, _BLOCK):
+        yield np.arange(first, min(first + _BLOCK, order_cap + 1))
 
 
-def _mode_sums(integrand, count: int, ratio: float,
-               cfg: NumericsConfig) -> list[EnergyResult]:
+def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
+               tail_integrand=None) -> list[EnergyResult]:
     """``count`` angular sums over the same orders, run as one.
 
     Sum ``s`` is ``sum_n integral_0^inf integrand(y, n, s) dy / (4 pi)``:
     the batched ``integrand(y, n, sums)`` returns, for each abscissa
-    ``y[j]``, the integrand of sum ``sums[j]`` at order ``n[j]``.  The
+    ``y[j]``, the integrand of sum ``sums[j]`` at order ``n[j]``; past
+    order ``_HEAD`` it takes real orders, or ``tail_integrand`` does.  The
     leading panel width is the decay scale ``1/(alpha - 1)``; ``ratio``
     must already be validated.  Each sum's n = 0 term is its own
-    integral; the orders from 1 on go in the blocks of
-    :func:`_order_blocks`, one batched quadrature call per block over its
-    orders for every sum still running.
+    integral; the orders 1 to ``min(order_cap, _HEAD)`` go in the blocks
+    of :func:`_order_blocks`, one batched quadrature call per block over
+    its orders for every sum still running.  The sums still running
+    after order ``_HEAD`` end with :func:`_add_tails`.
     """
     tail_cut = 1.0 / (ratio - 1.0)
     inv_4pi = 1.0 / (4.0 * math.pi)
@@ -419,7 +490,7 @@ def _mode_sums(integrand, count: int, ratio: float,
                                 np.full(y.shape, s)),
             cfg.quad, tail_cut=tail_cut).scaled(inv_4pi))
     live = list(range(count))
-    for orders in _order_blocks(cfg.order_cap):
+    for orders in _order_blocks(min(cfg.order_cap, _HEAD)):
         if not live:
             break
         # integral j of the block: sum live[j // width] at orders[j % width]
@@ -435,7 +506,65 @@ def _mode_sums(integrand, count: int, ratio: float,
                        for part in parts[k * width:(k + 1) * width]):
                 running.append(s)
         live = running
+    if live:
+        # a capped sum has stopped, so these ran through order _HEAD
+        _add_tails(tail_integrand or integrand, sums, live, tail_cut, cfg)
     return [one.result() for one in sums]
+
+
+def _add_tails(integrand, sums: list, live: list, tail_cut: float,
+               cfg: NumericsConfig) -> None:
+    """End each sum ``sums[s]``, ``s`` in ``live``, with its orders past
+    ``_HEAD``.
+
+    With F(nu) the radial integral over 4 pi at real order nu, from the
+    batched ``integrand(y, nu, sums)``, ``int_{_HEAD}^inf F(nu) dnu`` of
+    every live sum is one outer
+    :func:`~.quadrature.integrate_semi_infinite_batch` call, its leading
+    width ``tail_cut`` too.  The outer integrand is a batch of radial
+    integrals, one per nu node, which run in lockstep at ``cfg.quad``.
+    Each sum's integrand is divided by its head's ``|total|``, so the
+    outer ``abs_tol`` of ``order_tol`` is the stopping rule's own budget,
+    ``order_tol |total|``, for every sum.  The error adds to the outer
+    estimate the integral over nu of the radial estimates, bounded by
+    their upper Riemann sum over the sorted nodes.  A plain sum of the
+    estimates would not bound it: near contact a node's outer weight
+    reaches about 10.
+
+    Only the nodes of the outer segments the march folded in count, in
+    the error, the evaluations and the converged flag.  The folded
+    segments tile the outer range from 0 and a dropped one lies past
+    them, so their nodes are the first in nu, as many as the outer
+    result's ``evaluations``.
+    """
+    inv_4pi = 1.0 / (4.0 * math.pi)
+    scale = np.array([abs(sums[s].total) for s in live])
+    ids = np.asarray(live)
+    # per sum: (nu - _HEAD, error, evaluations, converged) of each node
+    nodes = [[] for _ in live]
+
+    def outer(u, which):
+        nu = _HEAD + u
+        parts = integrate_semi_infinite_batch(
+            lambda y, j: integrand(y, nu[j], ids[which[j]]), len(u),
+            cfg.quad, tail_cut=tail_cut)
+        for k, at, part in zip(which.tolist(), u.tolist(), parts):
+            nodes[k].append((at, part.error_estimate * inv_4pi,
+                             part.evaluations, part.converged))
+        values = np.array([part.value for part in parts]) * inv_4pi
+        return values / scale[which]
+
+    parts = integrate_semi_infinite_batch(
+        outer, len(live), replace(cfg.quad, abs_tol=cfg.order_tol),
+        tail_cut=tail_cut)
+    for k, (s, part, size) in enumerate(zip(live, parts, scale.tolist())):
+        at, err, evaluations, converged = zip(
+            *sorted(nodes[k])[:part.evaluations])
+        at, err = np.array(at), np.array(err)
+        radial = at[0] * err[0] + np.diff(at) @ np.maximum(err[1:], err[:-1])
+        sums[s].add_tail(part.value * size,
+                         part.error_estimate * size + float(radial),
+                         sum(evaluations), part.converged and all(converged))
 
 
 def _pressure_integrand(ratio: float):
@@ -443,9 +572,11 @@ def _pressure_integrand(ratio: float):
 
     Sum 0 takes ``y ln M_n`` and sum 1 ``y d ln M_n / d alpha``.  A round's
     abscissae of both sums often coincide, so the distinct (order, y)
-    pairs go to :func:`~.specfun.reflection_ratio_logs_dalpha` once; each
-    formula then reads its own sum's points.  Every step is elementwise,
-    so each point's value is what the sum's own integrand gives it.
+    pairs go to the Bessel kernels once, through the formulas of
+    :func:`~.specfun.reflection_ratio_logs_dalpha` without its checks, so
+    that the tail's real orders pass too; each formula then reads its own
+    sum's points.  Every step is elementwise, so each point's value is
+    what the sum's own integrand gives it.
     """
     def integrand(y, n, sums):
         by_pair = np.lexsort((y, n))
@@ -455,7 +586,7 @@ def _pressure_integrand(ratio: float):
         fresh[1:] = (ns[1:] != ns[:-1]) | (ys[1:] != ys[:-1])
         back = np.empty(len(y), dtype=int)
         back[by_pair] = np.cumsum(fresh) - 1
-        logs = [part[back] for part in reflection_ratio_logs_dalpha(
+        logs = [part[back] for part in _ratio_logs_dalpha(
             ns[fresh], ys[fresh], ratio)]
         energy = sums == 0
         out = np.empty(len(y))

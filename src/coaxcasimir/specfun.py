@@ -69,6 +69,10 @@ its order alone: the Debye series rows and constants are formed once per
 distinct order and gathered per point, ``ive`` takes the order array as
 it is, and the K recurrence runs to the block's highest order,
 elementwise, before each point picks its pair and takes its next step.
+The large-order kernel and the private ratio functions also take real
+orders above 40, for which the uniform expansions hold alike; only the
+mode sums' tail in :mod:`.exact` passes them, and the public functions
+keep refusing a non-integral order.
 
 Derivatives are never taken by finite differences.  The two regimes agree
 in their overlap window to better than 1e-12 relative, which the
@@ -160,8 +164,11 @@ _SERIES_BASIS = _series_basis()
 
 
 @functools.lru_cache(maxsize=4096)
-def _debye_constants(n: int):
-    """The order-n series rows, sum_k B[k] / n**k, and the ln i, ln k constants."""
+def _debye_constants(n: float):
+    """The order-n series rows, sum_k B[k] / n**k, and the ln i, ln k constants.
+
+    ``n`` may be real; an integral float gives the bits its int gives.
+    """
     nu = float(n)
     inv = 1.0 / nu
     coeffs = sum(_SERIES_BASIS[k] * inv**k
@@ -195,7 +202,9 @@ def _validate_order_argument(n, x):
 def _log_ik_debye(n, x: np.ndarray):
     r"""(ln i_n, ln k_n, ln i_n', ln |k_n'|) from the uniform expansions.
 
-    ``n`` is an int array of orders matching ``x``.  With :math:`z = x/n`,
+    ``n`` is an array of orders >= 41 matching ``x``: integers, or real
+    orders, for which the expansions hold alike (DLMF 10.41).  The
+    public functions pass integers only.  With :math:`z = x/n`,
     :math:`t = (1+z^2)^{-1/2}` and the phase
     :math:`\eta = \sqrt{1+z^2} + \ln(z / (1 + \sqrt{1+z^2}))`,
 
@@ -218,12 +227,11 @@ def _log_ik_debye(n, x: np.ndarray):
     point's arithmetic is that of its order alone and no
     (rows x terms x points) array is formed.
     """
-    # the distinct orders and each point's index among them, unsorted
-    offset = n - n.min()
-    present = np.bincount(offset.ravel()) > 0
-    where = (np.cumsum(present) - 1)[offset]
-    distinct = np.flatnonzero(present) + n.min()
-    rows, c_i, c_k = zip(*map(_debye_constants, distinct.tolist()))
+    # the distinct orders and each point's index among them, by a set,
+    # which pages in less of NumPy than a sort of the orders would
+    distinct = sorted(set(n.ravel().tolist()))
+    where = np.searchsorted(distinct, n)
+    rows, c_i, c_k = zip(*map(_debye_constants, distinct))
     nu = n.astype(float)
     table = np.stack(rows, axis=-1)
     c_i = np.array(c_i)[where]
@@ -312,8 +320,9 @@ def _log_ik_scipy(n, x: np.ndarray):
 def _pair_logs(n, x: np.ndarray):
     """Return (log i_n, log k_n, log i_n', log |k_n'|) at orders n >= 0.
 
-    ``n`` is an int array matching ``x``; each point takes the regime of
-    its order.  An empty argument gives four empty arrays of its shape.
+    ``n`` is an int array matching ``x``, or a real array of orders
+    above ``_SCIPY_ORDER_MAX``; each point takes the regime of its order.
+    An empty argument gives four empty arrays of its shape.
     """
     if x.size == 0:
         return tuple(np.empty((4,) + x.shape))
@@ -365,6 +374,8 @@ def scaled_modified_bessel(n, x) -> ScaledBesselPair:
 
 def _ratio_logs(n, y: np.ndarray, ratio: float):
     """Both log-ratios, and the four logs at ``ratio * y``, shaped like ``y``.
+
+    Takes validated arrays, or real orders >= 41 in ``n``.
 
     ``y`` and ``ratio * y`` go to the kernels stacked on a new leading
     axis, one call for both arguments.
@@ -424,7 +435,12 @@ def reflection_ratio_logs_dalpha(n, y, ratio: float):
     straight from differences of the scaled logs.  Both derivatives are
     negative.
     """
-    n, y, ratio = _validate_ratio_args(n, y, ratio)
+    return _ratio_logs_dalpha(*_validate_ratio_args(n, y, ratio))
+
+
+def _ratio_logs_dalpha(n, y: np.ndarray, ratio: float):
+    """:func:`reflection_ratio_logs_dalpha` on validated arrays, or on
+    real orders >= 41 in ``n``."""
     lrd, lrn, (li, lk, lip, lkp) = _ratio_logs(n, y, ratio)
     x = ratio * y
     d_lrd = -y * (np.exp(lkp - lk) + np.exp(lip - li))

@@ -212,6 +212,9 @@ def main():
           (40, 0.014))),
         ("large-order expansion logs at the extremes of t",
          ((1000, 1.0), (200, 100.0), (41, 1000.0))),
+        ("large-order expansion logs at real orders",
+         ((mp.mpf("144.5"), 100.0), (mp.mpf("1000.25"), 5.0),
+          (mp.mpf("2500.5"), 800.0))),
     ):
         print(f"# {label}")
         for n, x in cases:

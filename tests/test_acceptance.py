@@ -53,6 +53,9 @@ DISCREPANCY_BOUND = 0.10
 MAX_DISCREPANCY_AT_4 = 0.11781892370395025
 BEST_EXPONENT_ENERGY = 0.6370657423223163
 BEST_EXPONENT_PRESSURE = 0.5853601991436854
+# second-order coefficient of the exact energy over the p = 1/2 proximity
+# energy at contact, extrapolated from the library's near-contact energies
+C2_NEAR_CONTACT = -0.17764
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +166,33 @@ def test_narrow_gap_energy_approaches_parallel_plate_form():
         scaled[alpha] = value * (alpha - 1.0) ** 3 / (-math.pi**3 / 360.0)
     assert 0.95 <= scaled[1.01] <= 1.05
     assert scaled[1.05] > scaled[1.02] > scaled[1.01] > 1.0
+
+
+def test_proximity_energy_correction_is_second_order_near_contact():
+    """(E/E_PFA - 1)/(alpha - 1)^2 tends to c2 = -0.17764 as the gap
+    closes, E_PFA the p = 1/2 proximity energy: its correction has no
+    first-order term.
+
+    The coefficient c(g) at the gaps g = 1e-2, 3e-3 and 1e-3 is
+    extrapolated to g = 0 through the quadratic in g (Richardson).  The
+    tolerance carries each gap's reported energy error through c(g) and
+    the extrapolation weights.
+    """
+    gaps = [alpha - 1.0 for alpha in (1.01, 1.003, 1.001)]
+    coefficients, errors = [], []
+    for gap in gaps:
+        result = interaction_energy(1.0 + gap)
+        assert result.converged
+        model = proximity_energy(1.0 + gap, 0.5)
+        coefficients.append((result.value / model - 1.0) / gap**2)
+        errors.append(result.error / abs(model) / gap**2)
+    weights = [math.prod(other / (other - gap) for other in gaps
+                         if other != gap) for gap in gaps]
+    c2 = math.fsum(w * c for w, c in zip(weights, coefficients))
+    tolerance = math.fsum(abs(w) * e for w, e in zip(weights, errors))
+    assert abs(c2 - C2_NEAR_CONTACT) <= tolerance, (c2, tolerance)
+    # c(g) approaches c2 from above, monotonically
+    assert coefficients[0] > coefficients[1] > coefficients[2] > c2
 
 
 # ----------------------------------------------------------------------

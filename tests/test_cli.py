@@ -165,6 +165,27 @@ def test_energy_per_order_breakdown(capsys):
     )
 
 
+@pytest.mark.parametrize("alpha", ["1.005", "1.001", "1.0001"])
+def test_energy_near_contact_converges(capsys, alpha):
+    """Past order 144 the tail ends the sum at the default order_cap."""
+    code, payload = run_json(capsys, "energy", "--alpha", alpha)
+    assert code == 0
+    assert payload["converged"] is True
+    assert payload["order_max"] == 144
+
+
+def test_energy_per_order_shows_the_tail_after_order_144(capsys):
+    code, payload = run_json(
+        capsys, "energy", "--alpha", "1.01", "--per-order"
+    )
+    assert code == 0
+    assert [n for n, _ in payload["per_order"]] == [*range(145), "tail"]
+    contributions = [value for _, value in payload["per_order"]]
+    assert math.fsum(contributions) == pytest.approx(
+        payload["interaction_energy"], rel=1e-12
+    )
+
+
 def test_energy_non_convergence_exits_numerical(capsys):
     """Near unity the capped sum reaches the caller as exit 3 alone."""
     with warnings.catch_warnings():

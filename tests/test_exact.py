@@ -20,6 +20,7 @@ from coaxcasimir import (
     SELF_ENERGY_COEFF,
     ConcentricGeometry,
     NumericsConfig,
+    QuadratureResult,
     QuadratureSpec,
     casimir_energy,
     interaction_energy,
@@ -251,9 +252,10 @@ def test_si_conversions_scale_correctly():
 def test_order_blocks_equal_one_order_integrals(factor, mode_sum):
     """Each order of a block is, bit for bit, its own integral.
 
-    n = 700 at alpha = 1.01 lies inside a block wider than 16.
+    n = 144 at alpha = 1.01 is the last order summed one by one before
+    the sum's tail.
     """
-    for ratio, orders in ((1.1, (0, 1, 40, 41, 126)), (1.01, (700,))):
+    for ratio, orders in ((1.1, (0, 1, 40, 41, 126)), (1.01, (139, 144))):
         per_order = dict(mode_sum(ratio).per_order)
         tail_cut = 1.0 / (ratio - 1.0)
         for n in orders:
@@ -267,23 +269,120 @@ def test_order_blocks_equal_one_order_integrals(factor, mode_sum):
 
 @pytest.mark.parametrize("order_cap", [2, 16, 17, 144, 145, 1079, 2000])
 def test_order_block_schedule(order_cap):
-    """Blocks tile the orders 1..order_cap: 16 wide through order 144,
-    never wider than 64, and never past the cap."""
+    """Blocks tile the orders 1..order_cap, 16 wide, never past the cap."""
     blocks = list(exact._order_blocks(order_cap))
     np.testing.assert_array_equal(np.concatenate(blocks),
                                   np.arange(1, order_cap + 1))
-    for block in blocks:
-        assert len(block) <= 64
-        if block[-1] <= 144 and block[-1] < order_cap:
-            assert len(block) == 16
-    # near contact the blocks do widen, up to the cap of 64
-    assert order_cap < 1000 or max(map(len, blocks)) == 64
+    for block in blocks[:-1]:
+        assert len(block) == 16
+    assert 1 <= len(blocks[-1]) <= 16
 
 
 def test_near_contact_sum_counts_only_the_orders_it_uses():
+    """Orders 0-144 one by one, then the tail's radial integrals."""
     result = interaction_energy(1.01)
-    assert result.order_max == 1079
-    assert result.evaluations == 230_370
+    assert result.order_max == 144
+    assert [n for n, _ in result.per_order] == list(range(145))
+    assert result.tail is not None
+    assert result.evaluations == 60_840
+
+
+# The order-by-order sums before the tail existed (commit 76b64f1), at
+# tight numerics, which took up to 15,518 orders: (value, error) by ratio.
+#   git checkout 76b64f1 && PYTHONPATH=src python -c "from coaxcasimir
+#   import *; cfg = NumericsConfig(order_tol=1e-15, order_cap=20000);
+#   r = interaction_energy(1.01, cfg); print(repr(r.value), repr(r.error))"
+# and the same with pressure_inner for the pressures.
+TIGHT_ENERGY = {
+    1.05: (-705.7389618233261, 6.576790508424737e-09),
+    1.01: (-86556.58729916296, 8.656236602427154e-07),
+    1.003: (-3194722.395557247, 3.263908855542884e-05),
+    1.001: (-86171584.54556105, 0.0008779792051793796),
+}
+TIGHT_PRESSURE = {
+    1.01: (26010562.883698486, 0.000356011601266548),
+    1.003: (3196323165.2330494, 0.04107493296720552),
+}
+
+
+@pytest.mark.parametrize("ratio", sorted(TIGHT_ENERGY))
+def test_tail_error_covers_the_tight_order_by_order_sum(ratio):
+    """Head + tail come within both reported errors of the tight sum."""
+    pin, pin_error = TIGHT_ENERGY[ratio]
+    result = interaction_energy(ratio)
+    assert result.converged
+    assert result.tail is not None
+    assert abs(result.value - pin) <= result.error + pin_error
+
+
+@pytest.mark.parametrize("ratio", sorted(TIGHT_PRESSURE))
+def test_pressure_tail_error_covers_the_tight_order_by_order_sum(ratio):
+    pin, pin_error = TIGHT_PRESSURE[ratio]
+    result = pressure_inner(ratio)
+    assert result.converged
+    assert abs(result.value - pin) <= result.error + pin_error
+
+
+def test_gregory_tail_of_a_known_series():
+    """Fed F(n) = exp(-n/30), the head through order 144 and the exact
+    integral from 144 give the series within the Gregory remainder,
+    which is not more than twice the distance."""
+    scale = 30.0
+    one = exact._OrderSum(NumericsConfig(order_tol=1e-15))
+    for n in range(exact._HEAD + 1):
+        assert not one.add(QuadratureResult(
+            math.exp(-n / scale), 0.0, 1, True))
+    one.add_tail(scale * math.exp(-exact._HEAD / scale), 0.0, 0, True)
+    result = one.result()
+    series = 1.0 + 2.0 / math.expm1(1.0 / scale)
+    assert result.order_max == exact._HEAD
+    assert result.converged
+    assert abs(result.value - series) <= result.truncation_error
+    assert result.truncation_error <= 2.0 * abs(result.value - series)
+
+
+def test_tail_counts_only_the_outer_segments_it_folds_in():
+    """An outer segment started past the march's stop counts in no field.
+
+    The outer integrand, a decay over 0.05 orders plus a spike at
+    nu - 144 = 2 so narrow that only the first estimate of the segment
+    [1, 3] sees it, makes the march start [3, 7] beside [1, 3] and then
+    stop after [1, 3].  Past nu - 144 = 3 the radial integrand does not
+    decay, so no radial integral there converges.
+    """
+    cfg = NumericsConfig(order_tol=1e-6)
+    one = exact._OrderSum(cfg)
+    for n in range(exact._HEAD + 1):
+        assert not one.add(QuadratureResult(1.0, 0.0, 1, True))
+    reached = []
+
+    def integrand(y, nu, sums):
+        u = nu - exact._HEAD
+        reached.append(u.max())
+        outer = np.exp(-u / 0.05) + np.exp(-((u - 2.0) / 1e-7) ** 2)
+        return 4.0 * math.pi * outer * np.where(u > 3.0, 1.0, y * np.exp(-y))
+
+    exact._add_tails(integrand, [one], [0], 1.0, cfg)
+    result = one.result()
+    assert max(reached) > 3.0
+    assert result.converged
+    # the integral from 144 is 0.05; the constant head's end terms are 1/2
+    assert result.tail == pytest.approx(2.0 * (0.05 - 0.5), rel=1e-9)
+    assert result.quad_error < 1e-6
+
+
+def test_sums_past_order_144_end_in_the_tail_unless_capped():
+    """order_cap at 144 or below still caps; any cap above 144 lets the
+    tail finish the sum, with the same result."""
+    default = interaction_energy(1.01)
+    assert interaction_energy(1.01, NumericsConfig(order_cap=145)) == default
+    capped = interaction_energy(1.01, NumericsConfig(order_cap=144))
+    assert capped.order_capped and not capped.converged
+    assert capped.per_order == default.per_order
+    assert capped.tail is None
+    # a sum that stops by order 144 has no tail
+    no_tail = interaction_energy(1.1)
+    assert no_tail.order_max == 126 and no_tail.tail is None
 
 
 def test_order_cap_bounds_every_block(monkeypatch):
@@ -336,12 +435,13 @@ def _recording_kernel(monkeypatch):
     """Record the (orders, abscissae) each call of the pressure's kernel
     receives."""
     seen = []
+    kernel = exact._ratio_logs_dalpha
 
     def recording(n, y, ratio):
         seen.append((np.array(n), np.array(y)))
-        return reflection_ratio_logs_dalpha(n, y, ratio)
+        return kernel(n, y, ratio)
 
-    monkeypatch.setattr(exact, "reflection_ratio_logs_dalpha", recording)
+    monkeypatch.setattr(exact, "_ratio_logs_dalpha", recording)
     return seen
 
 

@@ -181,6 +181,47 @@ def test_large_order_derivative_logs_match_oracle(n, x):
         assert value == pytest.approx(expected, rel=1e-12)
 
 
+# oracle pins: the same four logs at real orders, which only the mode
+# sums' tail passes to the large-order kernel
+DEBYE_REAL_ORDER_LOGS = {
+    (144.5, 100.0): (
+        -95.95383491255245402212,
+        90.09174856120704850414,
+        -95.39098774895807163178,
+        90.65643851823561365361,
+    ),
+    (1000.25, 5.0): (
+        -5002.329226783916099015,
+        4994.728061862010071069,
+        -4997.030646967494290848,
+        5000.026641703412227271,
+    ),
+    (2500.5, 800.0): (
+        -2824.030289230399467055,
+        2815.464169814809736025,
+        -2822.841946407369980785,
+        2816.652548006191236523,
+    ),
+}
+
+
+def test_large_order_kernel_at_real_orders_matches_oracle():
+    """Real orders in one call, each against its pin; an integral real
+    order gives the bits of the int order."""
+    cases = sorted(DEBYE_REAL_ORDER_LOGS)
+    n = np.array([n for n, _ in cases])
+    x = np.array([x for _, x in cases])
+    got = _log_ik_debye(n, x)
+    for j, case in enumerate(cases):
+        for value, expected in zip(got, DEBYE_REAL_ORDER_LOGS[case]):
+            assert value[j] == pytest.approx(expected, rel=1e-12)
+    orders = np.array([41, 144, 145, 1000])
+    args = np.geomspace(0.5, 900.0, orders.size)
+    for real, whole in zip(_log_ik_debye(orders.astype(float), args),
+                           _log_ik_debye(orders, args)):
+        np.testing.assert_array_equal(real, whole)
+
+
 @pytest.mark.parametrize("n, x", sorted(SCIPY_TOP_ORDER_LOGS))
 def test_scipy_regime_top_order_logs_match_oracle(n, x):
     pair = scaled_modified_bessel(n, x)
@@ -397,8 +438,8 @@ def test_vectorized_ratios_match_scalar_routes():
 # a block of orders straddling the regime seam, each at several arguments
 SEAM_ORDERS = np.repeat(np.arange(36, 46), 5)
 SEAM_ARGS = np.geomspace(0.5, 900.0, SEAM_ORDERS.size)
-# 64-order blocks, the widest the mode sums run: one across the seam and
-# one deep in the Debye regime; each order twice, in shuffled order
+# 64-order blocks, four times the mode sums' width: one across the seam
+# and one deep in the Debye regime; each order twice, in shuffled order
 BLOCK_ACROSS_ORDERS = np.random.default_rng(7).permutation(
     np.repeat(np.arange(9, 73), 2))
 BLOCK_DEEP_ORDERS = BLOCK_ACROSS_ORDERS + 691
