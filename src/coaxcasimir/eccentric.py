@@ -39,8 +39,11 @@ numeric and closed-form routes are kept as mutually checking
 implementations; their residual shrinks as the radii approach each
 other.
 
-One helper forms r(θ), its square root and the area element for
-:func:`gap_radius` and both integrands.  :func:`eccentric_energy` and
+One helper forms the distance r(θ) - a, the root
+:math:`\sqrt{b^2 - \varepsilon^2 \cos^2\theta}` and the area element for
+both integrands.  It forms r - a without cancellation, so near contact
+the quadrature's error estimate still holds.
+:func:`eccentric_energy` and
 :func:`eccentric_force_numeric` return the θ-integral's
 :class:`~.quadrature.QuadratureResult` scaled to joules or newtons, so
 a quadrature that missed its tolerance shows as ``converged=False``,
@@ -125,18 +128,33 @@ class ResonatorParams:
 
 
 def _gap(theta, a: float, b: float, offset: float):
-    """sin θ, cos²θ, sqrt(b² - offset² cos²θ), r(θ) and g at ``theta``.
+    """sin θ, cos²θ, sqrt(b² - offset² cos²θ), r(θ) - a and g at ``theta``.
 
     ``g = sqrt(ab + offset a sin θ)`` is the area element per unit
     length and radian: the geometric mean of the two facing surface
-    elements.
+    elements.  Near contact r - a is a tiny difference of two radii, so
+    it is formed without subtracting them: with gap h = b - a and
+    f = |offset| / h,
+
+        r - a = h [2a (1 ± f sin θ) + h (1 - f)(1 + f)]
+                / (sqrt(b² - offset² cos²θ) + a - offset sin θ),
+
+    the sign that of the offset.  1 - f = (h - |offset|) / h is an exact
+    difference near contact, and 1 ± f sin θ = (1 - f)
+    + 2f sin²(θ/2 ± π/4), so no term cancels where the gap closes.
     """
+    h = b - a
+    f = abs(offset) / h
+    shut = (h - abs(offset)) / h
     sin = np.sin(theta)
     cos2 = np.cos(theta) ** 2
     root = np.sqrt(b**2 - offset**2 * cos2)
-    r = root + offset * sin
+    near = shut + 2.0 * f * np.sin(
+        0.5 * theta + math.copysign(0.25 * math.pi, offset)) ** 2
+    dist = h * (2.0 * a * near + h * shut * (1.0 + f)) / (
+        root + a - offset * sin)
     g = np.sqrt(a * b + offset * a * sin)
-    return sin, cos2, root, r, g
+    return sin, cos2, root, dist, g
 
 
 def gap_radius(theta, outer_radius: float, offset: float):
@@ -149,18 +167,9 @@ def gap_radius(theta, outer_radius: float, offset: float):
     if not abs(offset) < outer_radius:
         raise ValueError("|offset| must be smaller than the outer radius")
     theta = np.asarray(theta, dtype=float)
-    out = _gap(theta, 0.0, outer_radius, offset)[3]
+    out = (np.sqrt(outer_radius**2 - offset**2 * np.cos(theta) ** 2)
+           + offset * np.sin(theta))
     return float(out) if out.ndim == 0 else out
-
-
-def _warn_near_contact(a: float, b: float, offset: float) -> None:
-    gap = b - a
-    if (gap - abs(offset)) / gap < 1e-3:
-        warnings.warn(
-            "offset within 0.1% of contact: the gap integrand is nearly "
-            "singular and the quadrature error estimate may be optimistic",
-            stacklevel=3,
-        )
 
 
 def _energy_integral(a: float, b: float, offset: float,
@@ -168,8 +177,8 @@ def _energy_integral(a: float, b: float, offset: float,
     """∫ g / (r(θ) - a)^3 dθ over one period, ``g`` as in :func:`_gap`."""
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        _, _, _, r, g = _gap(theta, a, b, offset)
-        return g / (r - a) ** 3
+        _, _, _, dist, g = _gap(theta, a, b, offset)
+        return g / dist**3
 
     return integrate_finite(integrand, 0.0, _TWO_PI, spec)
 
@@ -187,11 +196,11 @@ def _force_integral(a: float, b: float, offset: float,
     """
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        sin, cos2, root, r, g = _gap(theta, a, b, offset)
+        sin, cos2, root, dist, g = _gap(theta, a, b, offset)
         dr = sin - offset * cos2 / root
         dg = a * sin / (2.0 * g)
-        gap3 = (r - a) ** 3
-        return dg / gap3 - 3.0 * g * dr / (gap3 * (r - a))
+        dist3 = dist**3
+        return dg / dist3 - 3.0 * g * dr / (dist3 * dist)
 
     return integrate_finite(integrand, 0.0, _TWO_PI, spec)
 
@@ -206,12 +215,10 @@ def eccentric_energy(geom: EccentricGeometry,
     the quadrature met its tolerance.  The energy strictly decreases
     (grows more negative) as the offset increases at fixed radii; at
     zero offset it equals the concentric geometric-mean proximity
-    energy.  Warns within 0.1% of contact, where the integrand is nearly
-    singular.
+    energy.
     """
     a = geom.base.inner_radius
     b = geom.base.outer_radius
-    _warn_near_contact(a, b, geom.axis_offset)
     part = _energy_integral(a, b, geom.axis_offset, spec)
     return part.scaled(-math.pi**2 * HBAR_C * geom.base.length / 720.0)
 
@@ -232,7 +239,6 @@ def eccentric_force_numeric(geom: EccentricGeometry,
     b = geom.base.outer_radius
     if geom.axis_offset == 0.0:
         return QuadratureResult(0.0, 0.0, 0, True)
-    _warn_near_contact(a, b, geom.axis_offset)
     part = _force_integral(a, b, geom.axis_offset, spec)
     return part.scaled(math.pi**2 * HBAR_C * geom.base.length / 720.0)
 

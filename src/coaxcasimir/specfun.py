@@ -65,8 +65,12 @@ of angular orders.  They resolve that once, at their boundary: a single
 order is checked and broadcast to the argument's shape, and the kernels
 below take an order per point only.  Each point takes the regime
 of its own order, and its arithmetic is exactly that of a block holding
-its order alone: the Debye series rows and constants are formed once per
-distinct order and gathered per point, ``ive`` takes the order array as
+its order alone.  The Debye kernel builds one series table per call,
+laid out as (term, row, order) over the call's distinct orders, and each
+Horner step takes its term's contiguous block per point; the table's
+powers of 1/n and the two log constants are Python float (libm)
+operations per order, because NumPy's vectorized ``pow`` differs from
+libm's in the last bit of some powers.  ``ive`` takes the order array as
 it is, and the K recurrence runs to the block's highest order,
 elementwise, before each point picks its pair and takes its next step.
 The large-order kernel and the private ratio functions also take real
@@ -81,7 +85,6 @@ test-suite checks explicitly (the contract is 1e-10).
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -143,39 +146,48 @@ def _debye_polynomials(k_max: int):
 def _series_basis() -> np.ndarray:
     """B[k] with sum_k B[k] / n**k the rows (even u, even v, odd u, odd v).
 
-    Each row holds coefficients in powers of s = t**2, highest power first
-    as Horner's rule takes them.  u_k and v_k are t**(k mod 2) times a
-    polynomial in s, so the coefficient of t**m goes to power m // 2 of
-    row 2 (k mod 2) + (0 for u, 1 for v).  The I series is then
-    even + t*odd and the K series, whose terms alternate as (-1)^k,
-    even - t*odd.  The k = 0 term (the leading 1) is left out so that the
-    series feed ``log1p``.
+    B[k] is laid out as (term, row): each row's coefficients are in
+    powers of s = t**2, highest power first as Horner's rule takes them.
+    u_k and v_k are t**(k mod 2) times a polynomial in s, so the
+    coefficient of t**m goes to power m // 2 of row 2 (k mod 2) + (0 for
+    u, 1 for v).  The I series is then even + t*odd and the K series,
+    whose terms alternate as (-1)^k, even - t*odd.  The k = 0 term (the
+    leading 1) is left out so that the series feed ``log1p``.
     """
     us, vs = _debye_polynomials(_DEBYE_ORDER)
-    basis = np.zeros((_DEBYE_ORDER + 1, 4, 3 * _DEBYE_ORDER // 2 + 1))
+    basis = np.zeros((_DEBYE_ORDER + 1, 3 * _DEBYE_ORDER // 2 + 1, 4))
     for k in range(1, _DEBYE_ORDER + 1):
         for col, poly in enumerate((us[k], vs[k])):
             half = poly[k % 2::2]
-            basis[k, 2 * (k % 2) + col, :len(half)] = list(map(float, half))
-    return basis[:, :, ::-1].copy()
+            basis[k, :len(half), 2 * (k % 2) + col] = list(map(float, half))
+    return basis[:, ::-1].copy()
 
 
 _SERIES_BASIS = _series_basis()
 
 
-@functools.lru_cache(maxsize=4096)
-def _debye_constants(n: float):
-    """The order-n series rows, sum_k B[k] / n**k, and the ln i, ln k constants.
+def _debye_constants(orders):
+    """The series table and the ln i, ln k constants of each distinct order.
 
-    ``n`` may be real; an integral float gives the bits its int gives.
+    ``orders`` is a sequence of Python ints or floats; an integral float
+    gives the bits its int gives.  The table is laid out as (term, row,
+    order), so each Horner term's block is contiguous, and entry
+    ``[j, r, d]`` is row r's term j of ``sum_k B[k] / n**k`` at order
+    ``orders[d]``, summed in k.  The powers ``(1/n)**k`` and the two
+    logs stay Python float (libm) operations per order: NumPy's
+    vectorized ``pow`` differs from libm's in the last bit of about 5% of
+    the powers with k >= 3, which would move table entries and with them
+    pinned values.  Each entry depends on its own order only.  Built per
+    call, the table costs nothing for orders never seen again, such as
+    the tail's real orders in :mod:`.exact`.
     """
-    nu = float(n)
-    inv = 1.0 / nu
-    coeffs = sum(_SERIES_BASIS[k] * inv**k
-                 for k in range(1, len(_SERIES_BASIS)))
-    coeffs.flags.writeable = False   # shared by every caller through the cache
-    return (coeffs, -0.5 * math.log(2.0 * math.pi * nu),
-            0.5 * math.log(math.pi / (2.0 * nu)))
+    nus = [float(n) for n in orders]
+    invs = [1.0 / nu for nu in nus]
+    table = sum(_SERIES_BASIS[k][:, :, None] * [inv**k for inv in invs]
+                for k in range(1, len(_SERIES_BASIS)))
+    c_i = [-0.5 * math.log(2.0 * math.pi * nu) for nu in nus]
+    c_k = [0.5 * math.log(math.pi / (2.0 * nu)) for nu in nus]
+    return table, np.array(c_i), np.array(c_k)
 
 
 def _validate_order_argument(n, x):
@@ -222,28 +234,29 @@ def _log_ik_debye(n, x: np.ndarray):
     :math:`\eta - z` is formed once, from ``1/(hypot(1,z)+z) -
     asinh(1/z)`` to avoid cancellation at large ``z``; all four series
     are evaluated together by one Horner pass in :math:`t^2`.  The series
-    rows and constants are formed once per distinct order; each Horner
-    step gathers its coefficients per point from that table, so each
-    point's arithmetic is that of its order alone and no
-    (rows x terms x points) array is formed.
+    table and constants are formed once per call for its distinct orders
+    (:func:`_debye_constants`); each Horner step takes its term's
+    (rows, orders) block per point and updates the accumulator in place,
+    so each point's arithmetic is that of its order alone and no
+    (terms x rows x points) array is formed.
     """
     # the distinct orders and each point's index among them, by a set,
     # which pages in less of NumPy than a sort of the orders would
     distinct = sorted(set(n.ravel().tolist()))
     where = np.searchsorted(distinct, n)
-    rows, c_i, c_k = zip(*map(_debye_constants, distinct))
+    table, c_i, c_k = _debye_constants(distinct)
     nu = n.astype(float)
-    table = np.stack(rows, axis=-1)
-    c_i = np.array(c_i)[where]
-    c_k = np.array(c_k)[where]
+    c_i = c_i[where]
+    c_k = c_k[where]
     z = x / nu
     hyp = np.hypot(1.0, z)
     t = 1.0 / hyp
     s = t * t
     lead = nu * (1.0 / (hyp + z) - np.arcsinh(1.0 / z))
-    acc = table[:, 0, where]
-    for j in range(1, table.shape[1]):
-        acc = acc * s + table[:, j, where]
+    acc = table[0].take(where, axis=1)
+    for term in table[1:]:
+        acc *= s
+        acc += term.take(where, axis=1)
     even, odd = acc[:2], acc[2:] * t
     log_plus = np.log1p(even + odd)      # I and I' series
     log_minus = np.log1p(even - odd)     # K and K' series

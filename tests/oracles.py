@@ -8,6 +8,7 @@ the library's scaled double-precision kernels and Gauss-Kronrod rules).
 Re-run manually after any intentional change of conventions:
 
     python tests/oracles.py            # fast pins (~seconds)
+    python tests/oracles.py --contact  # adds near-contact eccentric pins (~1 min)
     python tests/oracles.py --slow     # adds reduced-energy pins (~minutes)
 
 Values marked "regression" in the tests (best-fit exponents, the
@@ -135,7 +136,12 @@ def reduced_pressure(ratio, h=mp.mpf("1e-3")):
 # --------------------------------------------------------------------
 
 def eccentric_integrals(a, b, offset):
-    """(energy integrand integral, force integrand integral) over theta."""
+    """(energy integrand integral, force integrand integral) over theta.
+
+    Breakpoints close in on the narrowest gap at 3 pi / 2 to within
+    1e-6 rad, so tanh-sinh resolves the peak the integrands grow there
+    as the offset approaches the gap.
+    """
     a, b, e = mp.mpf(a), mp.mpf(b), mp.mpf(offset)
 
     def r(t):
@@ -154,7 +160,10 @@ def eccentric_integrals(a, b, offset):
         dg = a * mp.sin(t) / (2 * g(t))
         return dg / (rr - a) ** 3 - 3 * g(t) * dr / (rr - a) ** 4
 
-    pts = [0, mp.pi / 2, mp.pi, 3 * mp.pi / 2, 2 * mp.pi]
+    narrowest = 3 * mp.pi / 2
+    pts = sorted([0, mp.pi / 2, mp.pi, narrowest, 2 * mp.pi]
+                 + [narrowest + side * mp.pi / 2 * mp.mpf(10) ** -k
+                    for side in (-1, 1) for k in range(1, 7)])
     return (
         mp.quad(energy_integrand, pts),
         mp.quad(force_integrand, pts),
@@ -184,6 +193,9 @@ def trig_quartic_value(coefficient=mp.mpf("0.05"), base=mp.mpf("0.1")):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--contact", action="store_true",
+                        help="include the near-contact eccentric pins "
+                             "(about a minute)")
     parser.add_argument("--slow", action="store_true",
                         help="include the reduced-energy pins (minutes)")
     args = parser.parse_args()
@@ -244,6 +256,17 @@ def main():
     e_int, f_int = eccentric_integrals(1, "1.1", "0.05")
     show("energy integral", e_int)
     show("force integral", f_int)
+
+    if args.contact:
+        print("# eccentric theta integrals near contact, 40 digits, at the "
+              "float inputs a, b and offset = fraction * (b - a)")
+        with mp.workdps(40):
+            for a, b in ((1.0, 1.01), (0.01, 0.0101), (1.0, 1.5)):
+                for fraction in (0.5, 0.999, 0.9999, 0.99999, 0.999999):
+                    e_int, f_int = eccentric_integrals(
+                        a, b, fraction * (b - a))
+                    print(f"({a!r}, {b!r}, {fraction!r}): "
+                          f"({mp.nstr(e_int, 22)}, {mp.nstr(f_int, 22)}),")
 
     print("# quadrature reference integral")
     show("trig quartic (c=0.05)", trig_quartic_value())

@@ -446,6 +446,20 @@ def test_eccentric_non_convergence_exits_numerical(capsys):
     assert float(rows[1][header.index("force_numeric")]) > 0.0
 
 
+def test_eccentric_near_contact_exits_ok_without_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(
+            capsys, "eccentric", "--inner-radius", "1",
+            "--outer-radius", "1.01", "--offset-fractions", "0.99995",
+            "--format", "json",
+        )
+    assert code == 0
+    [row] = payload["rows"]
+    assert row["status"] == "ok"
+    assert row["force_numeric"] > 0.0
+
+
 def test_eccentric_takes_no_resonator_parameters(capsys):
     """The frequency shift is the freq-shift command's alone."""
     code, payload = run_json(

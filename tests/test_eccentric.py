@@ -1,7 +1,8 @@
 """Tests for the offset-axis energy, force, and frequency shift.
 
-The two frozen theta-integrals were generated by ``tests/oracles.py``
-(mpmath tanh-sinh quadrature of the same integrands at 30 digits).
+The frozen theta-integrals were generated by ``tests/oracles.py``
+(mpmath tanh-sinh quadrature of the same integrands at 30 digits; the
+near-contact ones at 40 digits by ``python tests/oracles.py --contact``).
 """
 
 import math
@@ -30,6 +31,34 @@ from coaxcasimir.eccentric import _energy_integral, _force_integral
 # oracle pins: theta integrals at inner=1, outer=1.1, offset=0.05
 ENERGY_INTEGRAL_PIN = 15217.34442651802990545
 FORCE_INTEGRAL_PIN = 574849.9380307246793228
+
+# oracle pins: (energy, force) theta integrals at the float inputs
+# (a, b, offset = fraction * (b - a)), keyed by (a, b, fraction)
+CONTACT_INTEGRAL_PINS = {
+    (1.0, 1.01, 0.5): (14582751.54770508450409, 5509036183.134578030545),
+    (1.0, 1.01, 0.999): (52979803618990.31458451, 13241855966702329820.2),
+    (1.0, 1.01, 0.9999): (16744884661761219.97981,
+                          4.186123474115212539659e+22),
+    (1.0, 1.01, 0.99999): (5294919459943160941.063,
+                           1.323726776288585384943e+26),
+    (1.0, 1.01, 0.999999): (1674391761528711533833.0,
+                            4.185978427130231171343e+29),
+    (0.01, 0.0101, 0.5): (145827515477.0538786992, 5509036183134730.862009),
+    (0.01, 0.0101, 0.999): (529798036189818837.7798,
+                            1.3241855966699360977e+25),
+    (0.01, 0.0101, 0.9999): (167448846617522006453.9,
+                             4.186123474112050015977e+28),
+    (0.01, 0.0101, 0.99999): (5.294919459835540181015e+22,
+                              1.323726776250916326723e+32),
+    (0.01, 0.0101, 0.999999): (1.674391761211026036934e+25,
+                               4.185978426018326257026e+35),
+    (1.0, 1.5, 0.5): (142.0198079603412416861, 1072.485447512863999537),
+    (1.0, 1.5, 0.999): (516517729.7313964105132, 2581985372001.434255669),
+    (1.0, 1.5, 0.9999): (163251466021.1464250769, 8162382820335546.716029),
+    (1.0, 1.5, 0.99999): (51621936015197.06190557, 25810907781475971002.43),
+    (1.0, 1.5, 0.999999): (16324203799388974.00844,
+                           8.162099994967293815443e+22),
+}
 
 BASE = ConcentricGeometry(1.0, 1.1, 1.0)
 SPEC = QuadratureSpec()
@@ -203,10 +232,26 @@ def test_geometry_validation_and_warnings():
     )
 
 
-def test_near_contact_warning():
+@pytest.mark.parametrize("integral, which", [
+    (_energy_integral, 0), (_force_integral, 1)], ids=["energy", "force"])
+@pytest.mark.parametrize("a, b, fraction", sorted(CONTACT_INTEGRAL_PINS))
+def test_error_covers_distance_to_oracle_near_contact(integral, which,
+                                                      a, b, fraction):
+    """Up to a millionth of the gap from contact, the θ-integral converges
+    and its error estimate holds against the 40-digit pin."""
+    result = integral(a, b, fraction * (b - a), SPEC)
+    pin = CONTACT_INTEGRAL_PINS[a, b, fraction][which]
+    assert result.converged
+    assert abs(result.value - pin) <= result.error_estimate
+
+
+def test_near_contact_is_quiet():
     geom = EccentricGeometry(BASE, 0.09995)
-    with pytest.warns(UserWarning, match="contact"):
-        eccentric_force_numeric(geom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy = eccentric_energy(geom)
+        force = eccentric_force_numeric(geom)
+    assert energy.converged and force.converged
 
 
 def test_resonator_validation():

@@ -15,6 +15,7 @@ from scipy import special
 
 from coaxcasimir.specfun import (
     _SCIPY_ORDER_MAX,
+    _SERIES_BASIS,
     _debye_polynomials,
     _log_ik_debye,
     _log_ik_scipy,
@@ -220,6 +221,71 @@ def test_large_order_kernel_at_real_orders_matches_oracle():
     for real, whole in zip(_log_ik_debye(orders.astype(float), args),
                            _log_ik_debye(orders, args)):
         np.testing.assert_array_equal(real, whole)
+
+
+def _debye_one_row_table_per_order(n, x):
+    """The large-order kernel as formulated with one (rows, terms) table
+    per order, ``sum_k B[k] (1/n)**k`` with Python float powers, and a
+    gather from the stacked (rows, terms, orders) table per Horner step."""
+    distinct = sorted(set(n.ravel().tolist()))
+    where = np.searchsorted(distinct, n)
+    rows, c_i, c_k = [], [], []
+    for order in distinct:
+        nu = float(order)
+        inv = 1.0 / nu
+        rows.append(sum(_SERIES_BASIS[k].T * inv**k
+                        for k in range(1, len(_SERIES_BASIS))))
+        c_i.append(-0.5 * math.log(2.0 * math.pi * nu))
+        c_k.append(0.5 * math.log(math.pi / (2.0 * nu)))
+    table = np.stack(rows, axis=-1)
+    nu = n.astype(float)
+    z = x / nu
+    hyp = np.hypot(1.0, z)
+    t = 1.0 / hyp
+    s = t * t
+    lead = nu * (1.0 / (hyp + z) - np.arcsinh(1.0 / z))
+    acc = table[:, 0, where]
+    for j in range(1, table.shape[1]):
+        acc = acc * s + table[:, j, where]
+    even, odd = acc[:2], acc[2:] * t
+    log_plus = np.log1p(even + odd)
+    log_minus = np.log1p(even - odd)
+    quarter = 0.25 * np.log1p(z * z)
+    prime = quarter - np.log(z)
+    c_i, c_k = np.array(c_i)[where], np.array(c_k)[where]
+    return (lead - quarter + c_i + log_plus[0],
+            -lead - quarter + c_k + log_minus[0],
+            lead + prime + c_i + log_plus[1],
+            -lead + prime + c_k + log_minus[1])
+
+
+# integer orders 41-900 and real orders 144-900, each with an argument
+# spread over the kernel's range, z = x/n from 1e-4 to 1e2
+_DEBYE_INT_ORDERS = np.arange(41, 901)
+_DEBYE_REAL_ORDERS = np.random.default_rng(17).uniform(144.0, 900.0, 860)
+_DEBYE_ARGS = np.random.default_rng(18).permutation(
+    np.geomspace(0.05, 9e4, 860))
+
+
+@pytest.mark.parametrize("orders", [_DEBYE_INT_ORDERS, _DEBYE_REAL_ORDERS],
+                         ids=["int", "real"])
+@pytest.mark.parametrize("shape", [(860,), (2, 430)], ids=["flat", "2xM"])
+def test_debye_kernel_equals_one_row_table_per_order(orders, shape):
+    """Bit for bit, all four logs, against the formulation with a row
+    table per order and a gather per Horner step."""
+    n, x = orders.reshape(shape), _DEBYE_ARGS.reshape(shape)
+    for got, want in zip(_log_ik_debye(n, x),
+                         _debye_one_row_table_per_order(n, x)):
+        assert got.shape == shape
+        assert np.array_equal(got, want)
+
+
+def test_debye_block_of_real_orders_equals_each_order_alone():
+    n, x = _DEBYE_REAL_ORDERS[:200], _DEBYE_ARGS[:200]
+    got = _log_ik_debye(n, x)
+    for j in range(n.size):
+        alone = _log_ik_debye(n[j:j + 1], x[j:j + 1])
+        assert tuple(log[j] for log in got) == tuple(a[0] for a in alone)
 
 
 @pytest.mark.parametrize("n, x", sorted(SCIPY_TOP_ORDER_LOGS))
