@@ -42,9 +42,8 @@ other.
 One helper forms the distance r(θ) - a, the root
 :math:`\sqrt{b^2 - \varepsilon^2 \cos^2\theta}` and the area element for
 both integrands.  It forms r - a without cancellation, so near contact
-the quadrature's error estimate still holds.
-:func:`eccentric_energy` and
-:func:`eccentric_force_numeric` return the θ-integral's
+the quadrature's error estimate still holds.  :func:`eccentric_energy`
+and :func:`eccentric_force_numeric` return the θ-integral's
 :class:`~.quadrature.QuadratureResult` scaled to joules or newtons, so
 a quadrature that missed its tolerance shows as ``converged=False``,
 not as a warning.  :func:`frequency_shift` depends on the concentric

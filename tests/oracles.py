@@ -139,8 +139,8 @@ def eccentric_integrals(a, b, offset):
     """(energy integrand integral, force integrand integral) over theta.
 
     Breakpoints close in on the narrowest gap at 3 pi / 2 to within
-    1e-6 rad, so tanh-sinh resolves the peak the integrands grow there
-    as the offset approaches the gap.
+    (pi / 2) 1e-6 rad, so tanh-sinh resolves the peak the integrands
+    grow there as the offset approaches the gap.
     """
     a, b, e = mp.mpf(a), mp.mpf(b), mp.mpf(offset)
 
@@ -258,8 +258,9 @@ def main():
     show("force integral", f_int)
 
     if args.contact:
-        print("# eccentric theta integrals near contact, 40 digits, at the "
-              "float inputs a, b and offset = fraction * (b - a)")
+        print("# eccentric theta integrals near contact, computed at 40 "
+              "digits, at the float inputs a, b and "
+              "offset = fraction * (b - a)")
         with mp.workdps(40):
             for a, b in ((1.0, 1.01), (0.01, 0.0101), (1.0, 1.5)):
                 for fraction in (0.5, 0.999, 0.9999, 0.99999, 0.999999):
