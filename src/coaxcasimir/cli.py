@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .approx import (
+    _validate_exponent,
     enumerate_orbits,
     fit_p,
     proximity_energy,
@@ -239,9 +240,7 @@ def _parse_quantities(raw: str):
         if base not in _QUANTITY_TOKENS:
             raise ValueError(f"unknown quantity {token!r}")
         if base == "proximity":
-            exponent = float(arg) if arg else 0.5
-            if not 0.0 <= exponent <= 1.0:
-                raise ValueError("proximity exponent must lie in [0, 1]")
+            exponent = _validate_exponent(arg) if arg else 0.5
             if prox_exponent is not None and prox_exponent != exponent:
                 raise ValueError("only one proximity exponent per run")
             prox_exponent = exponent
@@ -356,7 +355,7 @@ def _cmd_energy(args) -> int:
         "total_energy": _total_energy(result.value, alpha),
         "order_max": result.order_max,
         "converged": result.converged,
-        "meta": {"version": __version__, "numerics": _numerics_echo(cfg)},
+        "meta": _meta(args, numerics=_numerics_echo(cfg)),
     }
     if args.per_order:
         payload["per_order"] = [[n, value] for n, value in result.per_order]

@@ -62,9 +62,9 @@ rule as the energy, and the pressure's error bound is
 
 Each mode sum is a head of integer orders and, near contact, a tail.
 The head integrates the orders in lockstep blocks: the n = 0 term
-alone, then consecutive orders from n = 1 to 144 in blocks 16 wide
-(:func:`_order_blocks`).  One driver, :func:`_mode_sums`, runs any
-number of sums over the same orders as one: each block is one
+alone, then the nine blocks 1-16, 17-32, ..., 129-144.  One driver,
+:func:`_mode_sums`, runs any number of sums over the same orders as
+one: each block is one
 :func:`~.quadrature.integrate_semi_infinite_batch` call over the block's
 orders for every sum still running, and a sum that has stopped drops out
 of later blocks.  The pressure's two sums so share their lockstep
@@ -79,8 +79,7 @@ side as well and fold in order (:mod:`.quadrature`): fewer rounds, the
 same bits, and a segment started past the march's stop counts in no
 field.  The stopping rule reads each sum's orders one by one; the
 orders of its last block past its stopping order are discarded and
-count in no field of its result, and no block reaches past
-``order_cap``.
+count in no field of its result, and no block reaches past order 144.
 
 A sum needs about 10/(alpha - 1) orders, so below alpha of about 1.097
 one may still run after order N = 144.  Its orders past N then come as one
@@ -94,8 +93,8 @@ dropped is the tail's truncation error.  The nu-integral is one outer
 semi-infinite quadrature per sum, all of them in one lockstep, whose
 batched integrand is a batch of radial integrals, one per nu node; an
 outer segment started past its march's stop counts in no field, its
-radial integrals included.  A sum that stops by order 144 has no tail and keeps every bit it had
-before the tail existed.
+radial integrals included.  A sum that stops by order 144 has no tail
+and keeps every bit it had before the tail existed.
 """
 
 from __future__ import annotations
@@ -177,37 +176,32 @@ class NumericsConfig:
     contribute less than ``order_tol`` of the accumulated total; a sum
     still running after order 144 adds the orders past it as one tail,
     an integral over real order whose outer absolute tolerance is
-    ``order_tol`` times the total so far.  ``order_cap`` bounds the
-    orders summed one by one, which end at ``min(order_cap, 144)``.  With
-    ``order_cap`` up to 144 it is a hard ceiling: a sum that has not
-    stopped by then is flagged as capped (a flag on the result, not an
-    exception).  Above 144 the tail ends every sum, and every such cap
-    gives the same result; the double-integral route, which has no
-    tail, sums up to ``order_cap`` orders.  The same knobs drive the
-    energy sum and the pressure's alpha-derivative sum: the derivative
-    is analytic, so it needs no step of its own.
+    ``order_tol`` times the total so far.  The double-integral route,
+    which has no tail, flags a sum still running after order 144 as
+    capped (a flag on the result, not an exception).  The same knobs
+    drive the energy sum and the pressure's alpha-derivative sum: the
+    derivative is analytic, so it needs no step of its own.
     """
 
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     order_tol: float = 1e-10
-    order_cap: int = 2000
 
     def __post_init__(self):
         if not 0.0 < self.order_tol < 1.0:
             raise ValueError("order_tol must lie in (0, 1)")
-        if self.order_cap < 2:
-            raise ValueError("order_cap must be at least 2")
 
 
 DEFAULT_NUMERICS = NumericsConfig()
 
 #: The orders 1 to ``_HEAD`` are summed one by one, in lockstep blocks of
-#: ``_BLOCK`` orders.  One Bessel kernel call per regime serves the
-#: pending panels of a whole block, and the orders of the last block past
-#: the stopping order are wasted work (at most ``_BLOCK - 1`` orders).  A
-#: sum still running after order ``_HEAD`` adds the orders past it as an
-#: integral over real order (:func:`_add_tails`).  The default sweep (up
-#: to order 138), every pinned ratio and the double route stop sooner.
+#: ``_BLOCK`` orders (``_HEAD`` is a multiple of ``_BLOCK``).  One Bessel
+#: kernel call per regime serves the pending panels of a whole block, and
+#: the orders of the last block past the stopping order are wasted work
+#: (at most ``_BLOCK - 1`` orders).  A sum still running after order
+#: ``_HEAD`` adds the orders past it as an integral over real order
+#: (:func:`_add_tails`).  The default sweep (up to order 138), every
+#: pinned ratio and the double route stop sooner; the double route, which
+#: has no tail, ends at ``_HEAD`` as capped.
 _BLOCK = 16
 _HEAD = 144
 
@@ -239,9 +233,9 @@ class EnergyResult:
     one, the n >= 1 entries already carrying their double multiplicity.
     ``tail`` is, for a sum that ran past order 144, the contribution of
     all the orders above it, and None otherwise; the contributions and
-    the tail sum to ``value``.  The repr leaves ``tail`` out, so it reads
-    the same for every sum without one.  ``order_max`` is the highest
-    order summed one by one.
+    the tail sum to ``value``.  ``order_max`` is the highest order summed
+    one by one, and ``order_capped`` says that the double-integral
+    route reached order 144 before its stopping rule fired.
     ``truncation_error`` is, with a tail, the first Gregory term the tail
     drops, and otherwise a geometric bound on the orders past the
     stopping order.  ``quad_error`` accumulates the quadrature estimates:
@@ -258,7 +252,7 @@ class EnergyResult:
     evaluations: int
     order_capped: bool
     quad_converged: bool
-    tail: float | None = field(default=None, repr=False)
+    tail: float | None = None
 
     @property
     def error(self) -> float:
@@ -353,10 +347,10 @@ class _OrderSum:
     sum has stopped; :meth:`result` then assembles the EnergyResult.  The
     n = 0 term counts once and the n >= 1 terms twice.  The sum stops at
     the second consecutive order contributing less than ``order_tol`` of
-    the running total, or at ``order_cap`` (flagged as capped); what was
-    computed beyond it is never added and counts nowhere.  A sum that
-    has not stopped may instead end with :meth:`add_tail`, all orders
-    past the last one added at once.
+    the running total; what was computed beyond it is never added and
+    counts nowhere.  A sum that has not stopped ends with
+    :meth:`add_tail`, all orders past the last one added at once, or is
+    flagged ``capped`` by its caller.
     """
 
     def __init__(self, cfg: NumericsConfig):
@@ -380,10 +374,7 @@ class _OrderSum:
         if n >= 1:
             small = abs(contrib) < self.cfg.order_tol * abs(self.total)
             self.small_streak = self.small_streak + 1 if small else 0
-            if self.small_streak >= 2:
-                return True
-        self.capped = n >= self.cfg.order_cap
-        return self.capped
+        return self.small_streak >= 2
 
     def add_tail(self, integral: float, error: float, evaluations: int,
                  converged: bool) -> None:
@@ -459,12 +450,6 @@ def interaction_energy(ratio: float,
             *_ratio_logs(nu, y, ratio)[:2]))[0]
 
 
-def _order_blocks(order_cap: int):
-    """The lockstep blocks of the orders 1 to ``order_cap``, as arrays."""
-    for first in range(1, order_cap + 1, _BLOCK):
-        yield np.arange(first, min(first + _BLOCK, order_cap + 1))
-
-
 def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
                tail_integrand=None) -> list[EnergyResult]:
     """``count`` angular sums over the same orders, run as one.
@@ -475,10 +460,10 @@ def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
     order ``_HEAD`` it takes real orders, or ``tail_integrand`` does.  The
     leading panel width is the decay scale ``1/(alpha - 1)``; ``ratio``
     must already be validated.  Each sum's n = 0 term is its own
-    integral; the orders 1 to ``min(order_cap, _HEAD)`` go in the blocks
-    of :func:`_order_blocks`, one batched quadrature call per block over
-    its orders for every sum still running.  The sums still running
-    after order ``_HEAD`` end with :func:`_add_tails`.
+    integral; the orders 1 to ``_HEAD`` go in blocks of ``_BLOCK``, one
+    batched quadrature call per block over its orders for every sum
+    still running.  The sums still running after order ``_HEAD`` end
+    with :func:`_add_tails`.
     """
     tail_cut = 1.0 / (ratio - 1.0)
     inv_4pi = 1.0 / (4.0 * math.pi)
@@ -490,12 +475,12 @@ def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
                                 np.full(y.shape, s)),
             cfg.quad, tail_cut=tail_cut).scaled(inv_4pi))
     live = list(range(count))
-    for orders in _order_blocks(min(cfg.order_cap, _HEAD)):
+    for first in range(1, _HEAD + 1, _BLOCK):
         if not live:
             break
-        # integral j of the block: sum live[j // width] at orders[j % width]
-        width = len(orders)
-        order_of, sum_of = np.tile(orders, len(live)), np.repeat(live, width)
+        # integral j of the block: sum live[j // _BLOCK] at first + j % _BLOCK
+        order_of = np.tile(np.arange(first, first + _BLOCK), len(live))
+        sum_of = np.repeat(live, _BLOCK)
         parts = integrate_semi_infinite_batch(
             lambda y, which: integrand(y, order_of[which], sum_of[which]),
             len(order_of), cfg.quad, tail_cut=tail_cut)
@@ -503,11 +488,10 @@ def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
         for k, s in enumerate(live):
             # any() adds the block's orders up to the one that stops the sum
             if not any(sums[s].add(part.scaled(inv_4pi))
-                       for part in parts[k * width:(k + 1) * width]):
+                       for part in parts[k * _BLOCK:(k + 1) * _BLOCK]):
                 running.append(s)
         live = running
     if live:
-        # a capped sum has stopped, so these ran through order _HEAD
         _add_tails(tail_integrand or integrand, sums, live, tail_cut, cfg)
     return [one.result() for one in sums]
 
@@ -636,6 +620,11 @@ def interaction_energy_double_integral(
     work: each inner integral keeps its own adaptive panels and returns
     what it would return alone, so the route stays as independent of
     the reduced form as before.
+
+    The route has no tail: it sums the orders 0 to 144 one at a time,
+    and a sum still running after order 144 is flagged as capped.  At
+    alpha = 1.2, the closest to contact the tests run it, it stops at
+    order 45.
     """
     ratio = _validate_ratio(ratio)
     tail_cut = 1.0 / (ratio - 1.0)
@@ -665,9 +654,11 @@ def interaction_energy_double_integral(
                        converged=part.converged and all_ok)
 
     one = _OrderSum(cfg)
-    for n in range(cfg.order_cap + 1):
+    for n in range(_HEAD + 1):
         if one.add(term(n)):
             break
+    else:
+        one.capped = True
     return one.result()
 
 

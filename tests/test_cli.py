@@ -7,6 +7,7 @@ parsed exactly as a shell consumer would see it.
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -98,12 +99,12 @@ def test_energy_echoes_dataclass_defaults(capsys):
     code, payload = run_json(capsys, "energy", "--alpha", "2.0")
     assert code == 0
     cfg = NumericsConfig()
+    assert payload["meta"]["command"] == "energy"
     assert payload["meta"]["numerics"] == {
         "rel_tol": cfg.quad.rel_tol,
         "abs_tol": cfg.quad.abs_tol,
         "max_subdivisions": cfg.quad.max_subdivisions,
         "order_tol": cfg.order_tol,
-        "order_cap": cfg.order_cap,
     }
 
 
@@ -167,7 +168,7 @@ def test_energy_per_order_breakdown(capsys):
 
 @pytest.mark.parametrize("alpha", ["1.005", "1.001", "1.0001"])
 def test_energy_near_contact_converges(capsys, alpha):
-    """Past order 144 the tail ends the sum at the default order_cap."""
+    """Past order 144 the tail ends the sum."""
     code, payload = run_json(capsys, "energy", "--alpha", alpha)
     assert code == 0
     assert payload["converged"] is True
@@ -187,11 +188,11 @@ def test_energy_per_order_shows_the_tail_after_order_144(capsys):
 
 
 def test_energy_non_convergence_exits_numerical(capsys):
-    """Near unity the capped sum reaches the caller as exit 3 alone."""
+    """Near unity an unconverged sum reaches the caller as exit 3 alone."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, payload = run_json(
-            capsys, "energy", "--alpha", "1.0005", "--order-cap", "2"
+            capsys, "energy", "--alpha", "1.0005", "--max-subdivisions", "1"
         )
     assert code == 3
     assert payload["converged"] is False
@@ -201,7 +202,7 @@ def test_energy_non_convergence_exits_numerical(capsys):
 def test_sweep_non_convergence_exits_numerical(capsys):
     code, out = run_cli(
         capsys, "sweep", "--alpha-min", "1.1", "--alpha-max", "1.2",
-        "--steps", "2", "--order-cap", "2", "--workers", "1",
+        "--steps", "2", "--max-subdivisions", "1", "--workers", "1",
     )
     assert code == 3
     header, *rows = [line.split(",") for line in out.splitlines()]
@@ -210,11 +211,22 @@ def test_sweep_non_convergence_exits_numerical(capsys):
 
 
 def test_fit_p_non_convergence_names_the_ratios(capsys):
-    code, payload = run_json(capsys, "fit-p", "--order-cap", "2",
+    code, payload = run_json(capsys, "fit-p", "--max-subdivisions", "1",
                              "--workers", "1")
     assert code == 3
     assert payload["error"] == (
         "mode sums did not converge at alpha 1.5, 2.0, 2.5, 3.0")
+
+
+@pytest.mark.parametrize("quantity", ["proximity:1.5", "proximity:nan",
+                                      "proximity:abc"])
+def test_sweep_rejects_bad_proximity_exponent(capsys, quantity):
+    code, payload = run_json(
+        capsys, "sweep", "--quantities", f"energy,{quantity}",
+        "--steps", "2", "--workers", "1",
+    )
+    assert code == 2
+    assert "error" in payload
 
 
 def test_sweep_csv_structure(capsys, tmp_path):
@@ -349,6 +361,21 @@ def test_fd_step_config_key_is_rejected(capsys, tmp_path):
                              "--config", str(config))
     assert code == 2
     assert "fd_step" in payload["error"]
+
+
+def test_order_cap_is_not_an_option(capsys, tmp_path):
+    """The integer orders end at 144 on every route; there is no cap to
+    set, by flag or by config key."""
+    code, payload = run_json(capsys, "energy", "--alpha", "2.0",
+                             "--order-cap", "2")
+    assert code == 2
+    assert "--order-cap" in payload["error"]
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"order_cap": 2000}), encoding="utf-8")
+    code, payload = run_json(capsys, "energy", "--alpha", "2.0",
+                             "--config", str(config))
+    assert code == 2
+    assert "order_cap" in payload["error"]
 
 
 def test_sweep_output_is_byte_deterministic(capsys, tmp_path):
@@ -643,6 +670,17 @@ def _readme_commands() -> list[str]:
         elif in_sh and line.startswith("coaxcasimir "):
             commands.append(line)
     return commands
+
+
+def test_readme_lists_every_numerics_option():
+    """README's "numerics flags and config keys" are the dataclass fields."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    listed = re.search(r"numerics flags and config keys \(([^)]*)\)", text)
+    assert listed is not None
+    expected = [f.name for cls in (QuadratureSpec, NumericsConfig)
+                for f in fields(cls) if f.name != "quad"]
+    assert re.findall(r"`(\w+)`", listed.group(1)) == expected
 
 
 def test_readme_quick_start_commands_run_as_written(

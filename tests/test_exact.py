@@ -267,15 +267,46 @@ def test_order_blocks_equal_one_order_integrals(factor, mode_sum):
                                              * (1.0 / (4.0 * math.pi)))
 
 
-@pytest.mark.parametrize("order_cap", [2, 16, 17, 144, 145, 1079, 2000])
-def test_order_block_schedule(order_cap):
-    """Blocks tile the orders 1..order_cap, 16 wide, never past the cap."""
-    blocks = list(exact._order_blocks(order_cap))
-    np.testing.assert_array_equal(np.concatenate(blocks),
-                                  np.arange(1, order_cap + 1))
-    for block in blocks[:-1]:
-        assert len(block) == 16
-    assert 1 <= len(blocks[-1]) <= 16
+def _head_blocks(calls):
+    """Each kernel call's block, by index: n = 0 alone is block 0, and the
+    orders 1-16, ..., 129-144 blocks 1 to 9; None for a call whose orders
+    lie in no one block."""
+    blocks = [{0}] + [set(range(first, first + 16))
+                      for first in range(1, 145, 16)]
+    return blocks, [next((k for k, block in enumerate(blocks)
+                          if set(n.tolist()) <= block), None)
+                    for n in calls]
+
+
+def test_order_block_schedule(monkeypatch):
+    """At alpha = 1.01 every sum runs past order 144.  Its integer orders
+    reach the kernel as n = 0 alone and then the nine 16-wide blocks
+    1-16, ..., 129-144, one block after another, each first whole; no
+    integer order above 144 does, and the tail's orders are real."""
+    energy_calls = []
+
+    def recording(n, y, ratio):
+        energy_calls.append(np.asarray(n))
+        return log_mode_factor(n, y, ratio)
+
+    monkeypatch.setattr(exact, "log_mode_factor", recording)
+    assert interaction_energy(1.01).tail is not None
+    pressure_calls = _recording_kernel(monkeypatch)
+    result = pressure_inner(1.01)
+    assert result.energy_result.tail is not None
+    assert result.derivative_result.tail is not None
+    tail_orders = [n for n, _ in pressure_calls if n.dtype.kind == "f"]
+    assert tail_orders and min(n.min() for n in tail_orders) > 144
+    pressure_head = [n for n, _ in pressure_calls if n.dtype.kind == "i"]
+    assert len(pressure_head) + len(tail_orders) == len(pressure_calls)
+    for calls in (energy_calls, pressure_head):
+        assert all(n.dtype.kind == "i" for n in calls)
+        blocks, index = _head_blocks(calls)
+        assert None not in index
+        assert index == sorted(index)
+        for k, block in enumerate(blocks):
+            first = index.index(k)
+            assert set(calls[first].tolist()) == block
 
 
 def test_near_contact_sum_counts_only_the_orders_it_uses():
@@ -371,32 +402,14 @@ def test_tail_counts_only_the_outer_segments_it_folds_in():
     assert result.quad_error < 1e-6
 
 
-def test_sums_past_order_144_end_in_the_tail_unless_capped():
-    """order_cap at 144 or below still caps; any cap above 144 lets the
-    tail finish the sum, with the same result."""
-    default = interaction_energy(1.01)
-    assert interaction_energy(1.01, NumericsConfig(order_cap=145)) == default
-    capped = interaction_energy(1.01, NumericsConfig(order_cap=144))
-    assert capped.order_capped and not capped.converged
-    assert capped.per_order == default.per_order
-    assert capped.tail is None
-    # a sum that stops by order 144 has no tail
+def test_sums_past_order_144_end_in_the_tail():
+    """The reduced route's sums are never capped: past order 144 the tail
+    finishes them, and a sum that stops by order 144 has no tail."""
+    tail = interaction_energy(1.01)
+    assert tail.tail is not None
+    assert tail.converged and not tail.order_capped
     no_tail = interaction_energy(1.1)
     assert no_tail.order_max == 126 and no_tail.tail is None
-
-
-def test_order_cap_bounds_every_block(monkeypatch):
-    seen = []
-
-    def recording(n, y, ratio):
-        seen.append(int(np.max(n)))
-        return log_mode_factor(n, y, ratio)
-
-    monkeypatch.setattr(exact, "log_mode_factor", recording)
-    result = interaction_energy(1.1, NumericsConfig(order_cap=5))
-    assert result.order_max == 5
-    assert result.order_capped
-    assert max(seen) == 5
 
 
 @pytest.mark.parametrize("ratio", [2.0, 1.1])
@@ -461,22 +474,15 @@ def test_pressure_hands_the_kernel_each_shared_abscissa_once(monkeypatch):
                      + result.derivative_result.evaluations)
 
 
-def test_pressure_order_cap_bounds_every_block(monkeypatch):
-    seen = _recording_kernel(monkeypatch)
-    result = pressure_inner(1.1, NumericsConfig(order_cap=5))
-    for one_sum in (result.energy_result, result.derivative_result):
-        assert one_sum.order_max == 5
-        assert one_sum.order_capped
-    assert max(int(n.max()) for n, _ in seen) == 5
-
-
-def test_energy_result_reports_capped_order_sum():
-    """Near unity the capped sum is a flag on the result, not a warning."""
-    cfg = NumericsConfig(order_cap=2, order_tol=1e-10)
+def test_energy_result_reports_capped_order_sum(monkeypatch):
+    """The double route, which has no tail, flags a sum still running
+    after its last order as capped: a flag on the result, not a warning."""
+    monkeypatch.setattr(exact, "_HEAD", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = interaction_energy(1.0005, cfg)
+        result = interaction_energy_double_integral(2.0)
     assert result.order_capped
+    assert result.order_max == 2
     assert not result.converged
     assert result.truncation_error > 0.0
 
@@ -519,8 +525,6 @@ def test_geometry_rejects_non_finite_dimensions(dims):
 def test_numerics_validation():
     with pytest.raises(ValueError):
         NumericsConfig(order_tol=0.0)
-    with pytest.raises(ValueError):
-        NumericsConfig(order_cap=1)
     with pytest.raises(ValueError):
         NumericsConfig(quad=QuadratureSpec(rel_tol=-1.0))
 
