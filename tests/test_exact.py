@@ -278,35 +278,74 @@ def _head_blocks(calls):
                     for n in calls]
 
 
-def test_order_block_schedule(monkeypatch):
-    """At alpha = 1.01 every sum runs past order 144.  Its integer orders
-    reach the kernel as n = 0 alone and then the nine 16-wide blocks
-    1-16, ..., 129-144, one block after another, each first whole; no
-    integer order above 144 does, and the tail's orders are real."""
-    energy_calls = []
+def _recording_energy_kernel(monkeypatch):
+    """Record the orders each call of the energy's kernel receives."""
+    seen = []
 
     def recording(n, y, ratio):
-        energy_calls.append(np.asarray(n))
+        seen.append(np.array(n))
         return log_mode_factor(n, y, ratio)
 
     monkeypatch.setattr(exact, "log_mode_factor", recording)
-    assert interaction_energy(1.01).tail is not None
+    return seen
+
+
+def _assert_head_schedule(calls):
+    """Integer orders reach the kernel as n = 0 alone and then the nine
+    16-wide blocks 1-16, ..., 129-144, one block after another, each first
+    whole; no call mixes blocks and none goes past order 144."""
+    assert all(n.dtype.kind == "i" for n in calls)
+    assert max(int(n.max()) for n in calls) == 144
+    blocks, index = _head_blocks(calls)
+    assert None not in index
+    assert index == sorted(index)
+    for k, block in enumerate(blocks):
+        assert set(calls[index.index(k)].tolist()) == block
+
+
+@pytest.mark.parametrize("order", [2, 16, 17, 144, 145, 1079, 2000])
+def test_order_block_schedule(monkeypatch, order):
+    """At alpha = 1.01 the energy's sum runs past order 144.  An order up
+    to 144 first reaches the kernel in its whole 16-wide block (17 with
+    17-32, 144 with 129-144); an order above 144 never does, and the
+    tail finishes the sum."""
+    calls = _recording_energy_kernel(monkeypatch)
+    result = interaction_energy(1.01)
+    assert result.tail is not None and result.converged
+    assert len(result.per_order) == 145
+    holding = [set(n.tolist()) for n in calls if order in n.tolist()]
+    if order <= 144:
+        first = 16 * ((order - 1) // 16) + 1
+        assert holding[0] == set(range(first, first + 16))
+        assert all(block <= holding[0] for block in holding)
+    else:
+        assert holding == []
+
+
+def test_order_cap_bounds_every_block(monkeypatch):
+    """The energy's integer orders end at 144, in fixed blocks; past it
+    the tail, not the kernel's integer calls, finishes the sum."""
+    calls = _recording_energy_kernel(monkeypatch)
+    result = interaction_energy(1.01)
+    assert result.order_max == 144
+    assert not result.order_capped and result.tail is not None
+    _assert_head_schedule(calls)
+
+
+def test_pressure_order_cap_bounds_every_block(monkeypatch):
+    """The pressure's integer orders reach ``_ratio_logs_dalpha`` in the
+    same fixed blocks, ending at 144; the tail's orders are real and lie
+    above 144."""
     pressure_calls = _recording_kernel(monkeypatch)
     result = pressure_inner(1.01)
-    assert result.energy_result.tail is not None
-    assert result.derivative_result.tail is not None
+    for one_sum in (result.energy_result, result.derivative_result):
+        assert one_sum.order_max == 144
+        assert not one_sum.order_capped and one_sum.tail is not None
     tail_orders = [n for n, _ in pressure_calls if n.dtype.kind == "f"]
     assert tail_orders and min(n.min() for n in tail_orders) > 144
     pressure_head = [n for n, _ in pressure_calls if n.dtype.kind == "i"]
     assert len(pressure_head) + len(tail_orders) == len(pressure_calls)
-    for calls in (energy_calls, pressure_head):
-        assert all(n.dtype.kind == "i" for n in calls)
-        blocks, index = _head_blocks(calls)
-        assert None not in index
-        assert index == sorted(index)
-        for k, block in enumerate(blocks):
-            first = index.index(k)
-            assert set(calls[first].tolist()) == block
+    _assert_head_schedule(pressure_head)
 
 
 def test_near_contact_sum_counts_only_the_orders_it_uses():
