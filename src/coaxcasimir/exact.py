@@ -68,9 +68,12 @@ one: each block is one
 :func:`~.quadrature.integrate_semi_infinite_batch` call over the block's
 orders for every sum still running, and a sum that has stopped drops out
 of later blocks.  The pressure's two sums so share their lockstep
-rounds, and their integrand hands the Bessel kernel each distinct
-(order, y) pair of a round once, then applies the energy formula to the
-energy sum's abscissae and the e' formula to those of the e' sum.  Every
+rounds.  In a round that holds both, their integrand hands the Bessel
+kernel each distinct (order, y) pair once, then applies the energy
+formula to the energy sum's abscissae and the e' formula to those of
+the e' sum; a round that holds one sum (each n = 0 integral, and every
+round after the other sum has stopped) evaluates that sum's formula
+alone, and the energy's takes no alpha-derivative logs.  Every
 order of every sum keeps its own adaptive panels and every kernel is
 elementwise, so each per-order integral, and each sum, is bit for bit
 what that sum alone, one order at a time, gives.  Within each
@@ -446,8 +449,13 @@ def interaction_energy(ratio: float,
     # real orders, so the tail calls the private kernel.
     return _mode_sums(
         lambda y, n, sums: y * log_mode_factor(n, y, ratio), 1, ratio, cfg,
-        tail_integrand=lambda y, nu, sums: y * _energy_factor(
-            *_ratio_logs(nu, y, ratio)[:2]))[0]
+        tail_integrand=_energy_integrand(ratio))[0]
+
+
+def _energy_integrand(ratio: float):
+    """The batched ``y ln M_n`` of the energy sum, without the public
+    checks, so that real orders pass too."""
+    return lambda y, n, sums: y * _energy_factor(*_ratio_logs(n, y, ratio)[:2])
 
 
 def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
@@ -554,15 +562,24 @@ def _add_tails(integrand, sums: list, live: list, tail_cut: float,
 def _pressure_integrand(ratio: float):
     """The batched integrand of the pressure's two sums, energy and e'.
 
-    Sum 0 takes ``y ln M_n`` and sum 1 ``y d ln M_n / d alpha``.  A round's
-    abscissae of both sums often coincide, so the distinct (order, y)
-    pairs go to the Bessel kernels once, through the formulas of
-    :func:`~.specfun.reflection_ratio_logs_dalpha` without its checks, so
-    that the tail's real orders pass too; each formula then reads its own
-    sum's points.  Every step is elementwise, so each point's value is
-    what the sum's own integrand gives it.
+    Sum 0 takes ``y ln M_n`` and sum 1 ``y d ln M_n / d alpha``, both
+    through the kernels without their public checks, so that the tail's
+    real orders pass too.  A call whose points all belong to one sum
+    evaluates that sum's formula alone: the energy's from the log-ratios
+    (:func:`_energy_integrand`), the e' sum's from the log-ratios and
+    their alpha-derivatives.  In a call that holds both sums, their abscissae
+    often coincide, so the distinct (order, y) pairs go to the Bessel
+    kernels once, for the log-ratios and their derivatives, and each
+    formula then reads its own sum's points.  Every step is elementwise,
+    so each point's value is what the sum's own integrand gives it.
     """
+    energy_integrand = _energy_integrand(ratio)
+
     def integrand(y, n, sums):
+        if not sums.any():
+            return energy_integrand(y, n, sums)
+        if sums.all():
+            return y * _dalpha_factor(*_ratio_logs_dalpha(n, y, ratio))
         by_pair = np.lexsort((y, n))
         ys, ns = y[by_pair], n[by_pair]
         fresh = np.empty(len(y), dtype=bool)
@@ -689,11 +706,12 @@ def pressure_inner(ratio: float,
     mode factor (:func:`log_mode_factor_dalpha`) through the same
     quadrature and stopping rule.  The two run as one (:func:`_mode_sums`):
     they share each block's lockstep rounds and each round's Bessel kernel
-    call, which sees every distinct (order, y) pair once.  The values are
-    still, bit for bit, those of each sum alone: ``energy_result`` equals
-    :func:`interaction_energy` at the same ratio and numerics.  ``error``
-    is the bound ``2 error_e + alpha error_e'``, and the result converged
-    when both sums did.
+    call, which sees every distinct (order, y) pair once (a round of one
+    sum computes only what that sum uses, :func:`_pressure_integrand`).
+    The values are still, bit for bit, those of each sum alone:
+    ``energy_result`` equals :func:`interaction_energy` at the same ratio
+    and numerics.  ``error`` is the bound ``2 error_e + alpha error_e'``,
+    and the result converged when both sums did.
     """
     ratio = _validate_ratio(ratio)
     energy, derivative = _mode_sums(_pressure_integrand(ratio), 2, ratio, cfg)

@@ -195,11 +195,12 @@ def _validate_order_argument(n, x):
 
     A single order must be integral and is broadcast to ``x``'s shape; an
     order array must hold integers and match it.  Negative orders fold
-    onto positive ones through I_{-n} = I_n, K_{-n} = K_n.
+    onto positive ones through I_{-n} = I_n, K_{-n} = K_n.  An infinite
+    or NaN order is not an integer, and raises ``ValueError`` too.
     """
     x = np.asarray(x, dtype=float)
     if np.ndim(n) == 0:
-        if n != int(n):
+        if not (math.isfinite(n) and n == int(n)):
             raise ValueError(f"order must be an integer, got {n!r}")
         n = np.full(x.shape, int(n))
     elif np.asarray(n).dtype.kind not in "iu" or np.shape(n) != x.shape:
@@ -275,12 +276,22 @@ def _scaled_k_upward(n, x: np.ndarray):
     :math:`k_{j+1} = k_{j-1} + (2j/x)\,k_j` (DLMF 10.29.1; the factor
     :math:`e^{x}` is common to every term) is stable upward, since
     :math:`K_j` grows with j.  The order array ``n`` matches ``x``; the
-    recurrence runs to its highest order and each point picks its own
+    recurrence runs to its highest order.  At one order it keeps only its
+    last two rows, which are the pair (``k1e``, ``k0e`` at order 0);
+    at several it keeps the table of rows and each point picks its own
     pair.  It is elementwise, so each point's values do not depend on the
     other orders.  A value that leaves the double range becomes ``inf``
     without a warning.
     """
-    top = max(int(n.max()), 1)
+    top = int(n.max())
+    if top == n.min():
+        below, k_n = _sp.k0e(x), _sp.k1e(x)
+        if top == 0:
+            return k_n, below
+        with np.errstate(over="ignore"):
+            for j in range(1, top):
+                below, k_n = k_n, below + (2.0 * j / x) * k_n
+        return below, k_n
     k = np.empty((top + 1,) + x.shape)
     k[0] = _sp.k0e(x)
     k[1] = _sp.k1e(x)

@@ -484,16 +484,19 @@ def test_pressure_sums_are_one_order_integrals_at_every_order(ratio):
 
 
 def _recording_kernel(monkeypatch):
-    """Record the (orders, abscissae) each call of the pressure's kernel
-    receives."""
+    """Record the (orders, abscissae) each call of the pressure's kernels
+    receives: ``_ratio_logs_dalpha``, and ``_ratio_logs`` for the calls
+    that hold energy points only."""
     seen = []
-    kernel = exact._ratio_logs_dalpha
 
-    def recording(n, y, ratio):
-        seen.append((np.array(n), np.array(y)))
-        return kernel(n, y, ratio)
+    def recording(kernel):
+        def record(n, y, ratio):
+            seen.append((np.array(n), np.array(y)))
+            return kernel(n, y, ratio)
+        return record
 
-    monkeypatch.setattr(exact, "_ratio_logs_dalpha", recording)
+    for name in ("_ratio_logs_dalpha", "_ratio_logs"):
+        monkeypatch.setattr(exact, name, recording(getattr(exact, name)))
     return seen
 
 
@@ -511,6 +514,63 @@ def test_pressure_hands_the_kernel_each_shared_abscissa_once(monkeypatch):
     points = sum(len(y) for _, y in seen)
     assert points < (result.energy_result.evaluations
                      + result.derivative_result.evaluations)
+
+
+_ONE_SUM_ORDERS = {
+    "0": np.zeros(60, dtype=int),
+    "1-16": np.arange(1, 17).repeat(4),
+    "41-56": np.arange(41, 57).repeat(4),
+    "tail": np.random.default_rng(5).uniform(144.0, 400.0, 60),
+}
+
+
+@pytest.mark.parametrize("orders", _ONE_SUM_ORDERS.values(),
+                         ids=_ONE_SUM_ORDERS.keys())
+@pytest.mark.parametrize("one_sum", [0, 1], ids=["energy", "dalpha"])
+def test_one_sum_pressure_call_equals_its_points_in_a_two_sum_call(
+        orders, one_sum):
+    """A call whose points all belong to one sum skips the dedupe and the
+    other sum's formula; each value is, bit for bit, what the same point
+    gets inside a call that holds both sums, sharing some abscissae."""
+    integrand = exact._pressure_integrand(1.3)
+    rng = np.random.default_rng(orders.size)
+    y = rng.permutation(np.geomspace(1e-2, 40.0, orders.size))
+    other_y = np.concatenate((y[::2], rng.uniform(1e-2, 40.0, 20)))
+    other_n = np.concatenate((orders[::2], orders[:20]))
+    alone = integrand(y, orders, np.full(y.size, one_sum))
+    both = integrand(np.concatenate((y, other_y)),
+                     np.concatenate((orders, other_n)),
+                     np.repeat([one_sum, 1 - one_sum],
+                               [y.size, other_y.size]))
+    assert np.array_equal(alone, both[:y.size])
+
+
+def test_pressure_energy_only_calls_take_no_alpha_derivative_logs(
+        monkeypatch):
+    """At alpha = 2 no pressure integrand call whose points all belong
+    to the energy sum reaches ``_ratio_logs_dalpha``; a call holding e'
+    points reaches it once."""
+    calls = []
+    kernel, make = exact._ratio_logs_dalpha, exact._pressure_integrand
+
+    def recording_kernel(n, y, ratio):
+        calls[-1][1] += 1
+        return kernel(n, y, ratio)
+
+    def recording_integrand(ratio):
+        integrand = make(ratio)
+
+        def record(y, n, sums):
+            calls.append([not sums.any(), 0])
+            return integrand(y, n, sums)
+        return record
+
+    monkeypatch.setattr(exact, "_ratio_logs_dalpha", recording_kernel)
+    monkeypatch.setattr(exact, "_pressure_integrand", recording_integrand)
+    pressure_inner(2.0)
+    energy_only = [reached for only, reached in calls if only]
+    assert energy_only and not any(energy_only)
+    assert all(reached == 1 for only, reached in calls if not only)
 
 
 def test_energy_result_reports_capped_order_sum(monkeypatch):

@@ -327,6 +327,44 @@ def test_k_recurrence_matches_scipy_kve():
         np.testing.assert_allclose(k_n, special.kve(n, x), rtol=1e-13)
 
 
+def _scaled_k_table(n, x):
+    """The K recurrence as a table of every row up to the highest order,
+    each point picking its pair by a flat-index gather."""
+    top = max(int(n.max()), 1)
+    k = np.empty((top + 1,) + x.shape)
+    k[0] = special.k0e(x)
+    k[1] = special.k1e(x)
+    with np.errstate(over="ignore"):
+        for j in range(1, top):
+            k[j + 1] = k[j - 1] + (2.0 * j / x) * k[j]
+    point = np.arange(x.size).reshape(x.shape)
+    k = k.reshape(-1)
+    return k[np.abs(n - 1) * x.size + point], k[n * x.size + point]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 40])
+@pytest.mark.parametrize("shape", [(300,), (2, 150)], ids=["flat", "2xM"])
+def test_one_order_k_recurrence_equals_the_table(n, shape):
+    """At one order the recurrence keeps its last two rows only; both K
+    values are, bit for bit, those the table gives."""
+    x = np.geomspace(1e-2, 1e3, 300).reshape(shape)
+    for got, want in zip(_scaled_k_upward(order_like(n, x), x),
+                         _scaled_k_table(order_like(n, x), x)):
+        assert got.shape == shape
+        assert np.array_equal(got, want)
+
+
+def test_one_order_k_overflow_stays_a_silent_inf():
+    x = np.array([1e-8, 1e-3, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _scaled_k_upward(order_like(40, x), x)
+    want = _scaled_k_table(order_like(40, x), x)
+    assert np.isinf(got[1][0]) and np.isfinite(got[1][1:]).all()
+    for value, table in zip(got, want):
+        assert np.array_equal(value, table)
+
+
 def test_k_overflow_raises_without_warning():
     """A K past the double range raises; a block's recurrence that
     overflows above a point's own order leaves that point untouched."""
@@ -586,6 +624,19 @@ def test_domain_errors_on_argument(bad_x):
         with pytest.raises(ValueError, match="finite and strictly positive"):
             scaled_modified_bessel(3, x)
     assert scaled_modified_bessel(3, []).log_i.shape == (0,)
+
+
+@pytest.mark.parametrize("order", [math.inf, -math.inf, math.nan, 2.5])
+@pytest.mark.parametrize("function", [
+    lambda n: scaled_modified_bessel(n, 1.0),
+    lambda n: reflection_ratio_logs(n, 1.0, 2.0),
+    lambda n: log_mode_factor(n, 1.0, 2.0),
+], ids=["scaled_modified_bessel", "reflection_ratio_logs", "log_mode_factor"])
+def test_non_integral_order_raises_value_error(function, order):
+    """An infinite, NaN or fractional order is a domain error, not an
+    OverflowError from ``int()``, which would read as a range failure."""
+    with pytest.raises(ValueError, match="order must be an integer"):
+        function(order)
 
 
 def test_domain_errors_on_order_and_ratio():
