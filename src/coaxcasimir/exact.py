@@ -567,11 +567,12 @@ def _pressure_integrand(ratio: float):
     real orders pass too.  A call whose points all belong to one sum
     evaluates that sum's formula alone: the energy's from the log-ratios
     (:func:`_energy_integrand`), the e' sum's from the log-ratios and
-    their alpha-derivatives.  In a call that holds both sums, their abscissae
-    often coincide, so the distinct (order, y) pairs go to the Bessel
-    kernels once, for the log-ratios and their derivatives, and each
-    formula then reads its own sum's points.  Every step is elementwise,
-    so each point's value is what the sum's own integrand gives it.
+    their alpha-derivatives.  In a call that holds both sums, their
+    abscissae often coincide, so the distinct (order, y) pairs go to the
+    Bessel kernels once, for the log-ratios and their derivatives, and
+    each formula then reads its own sum's points.  Every step is
+    elementwise, so each point's value is what the sum's own integrand
+    gives it.
     """
     energy_integrand = _energy_integrand(ratio)
 

@@ -72,7 +72,9 @@ powers of 1/n and the two log constants are Python float (libm)
 operations per order, because NumPy's vectorized ``pow`` differs from
 libm's in the last bit of some powers.  ``ive`` takes the order array as
 it is, and the K recurrence runs to the block's highest order,
-elementwise, before each point picks its pair and takes its next step.
+elementwise.  A call at one order keeps only the recurrence's last two
+rows, which are its pair; a call at several keeps every row, and each
+point picks its pair from them.  Each point then takes its next step.
 The large-order kernel and the private ratio functions also take real
 orders above 40, for which the uniform expansions hold alike; only the
 mode sums' tail in :mod:`.exact` passes them, and the public functions
