@@ -495,7 +495,8 @@ def _cmd_freq_shift(args) -> int:
 # Checks shared by several options; the domain objects
 # (ConcentricGeometry, EccentricGeometry, ResonatorParams,
 # enumerate_orbits) make their own, so none is restated here.
-_ALPHA_CHECK = (lambda a: math.isfinite(a) and a > 1.0, "alpha must exceed 1")
+_ALPHA_CHECK = (lambda a: math.isfinite(a) and a > 1.0,
+                "alpha must be finite and exceed 1")
 _FINITE_MAX = (math.isfinite, "alpha_max must be finite")
 
 _QUAD_OPTS = _field_opts(QuadratureSpec)

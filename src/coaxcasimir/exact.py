@@ -61,19 +61,21 @@ rule as the energy, and the pressure's error bound is
 :math:`\delta` the quadrature plus angular-truncation error of its sum.
 
 Each mode sum is a head of integer orders and, near contact, a tail.
-The head integrates the orders in lockstep blocks: the n = 0 term
-alone, then the nine blocks 1-16, 17-32, ..., 129-144.  One driver,
+The head integrates the orders in lockstep blocks.  One driver,
 :func:`_mode_sums`, runs any number of sums over the same orders as
 one: each block is one
 :func:`~.quadrature.integrate_semi_infinite_batch` call over the block's
 orders for every sum still running, and a sum that has stopped drops out
-of later blocks.  The pressure's two sums so share their lockstep
-rounds.  In a round that holds both, their integrand hands the Bessel
-kernel each distinct (order, y) pair once, then applies the energy
-formula to the energy sum's abscissae and the e' formula to those of
-the e' sum; a round that holds one sum (each n = 0 integral, and every
-round after the other sum has stopped) evaluates that sum's formula
-alone, and the energy's takes no alpha-derivative logs.  Every
+of later blocks.  The blocks of the pressure's two sums are 0-16, then
+17-32, ..., 129-144, so the two sums share every lockstep round, n = 0
+included.  The energy's lone sum takes its n = 0 term alone, then the
+nine blocks 1-16, 17-32, ..., 129-144.  In a round that holds both of
+the pressure's sums, their integrand hands the Bessel kernel each
+distinct (order, y) pair once, then applies the energy formula to the
+energy sum's abscissae and the e' formula to those of the e' sum; a
+round that holds one sum (every round after the other sum has stopped)
+evaluates that sum's formula alone, and the energy's takes no
+alpha-derivative logs.  Every
 order of every sum keeps its own adaptive panels and every kernel is
 elementwise, so each per-order integral, and each sum, is bit for bit
 what that sum alone, one order at a time, gives.  Within each
@@ -197,7 +199,8 @@ class NumericsConfig:
 DEFAULT_NUMERICS = NumericsConfig()
 
 #: The orders 1 to ``_HEAD`` are summed one by one, in lockstep blocks of
-#: ``_BLOCK`` orders (``_HEAD`` is a multiple of ``_BLOCK``).  One Bessel
+#: ``_BLOCK`` orders (``_HEAD`` is a multiple of ``_BLOCK``); several sums
+#: run as one take n = 0 in their first block as well.  One Bessel
 #: kernel call per regime serves the pending panels of a whole block, and
 #: the orders of the last block past the stopping order are wasted work
 #: (at most ``_BLOCK - 1`` orders).  A sum still running after order
@@ -446,7 +449,9 @@ def interaction_energy(ratio: float,
     ratio = _validate_ratio(ratio)
     # The integer orders go through log_mode_factor, which
     # perfbench/tracer.py wraps to time the mode-factor layer; it refuses
-    # real orders, so the tail calls the private kernel.
+    # real orders, so the tail calls the private kernel.  For the same
+    # tracer, the quadrature layer, this lone sum's n = 0 stays one
+    # integrate_semi_infinite call (_mode_sums keeps it so for one sum).
     return _mode_sums(
         lambda y, n, sums: y * log_mode_factor(n, y, ratio), 1, ratio, cfg,
         tail_integrand=_energy_integrand(ratio))[0]
@@ -467,28 +472,35 @@ def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
     ``y[j]``, the integrand of sum ``sums[j]`` at order ``n[j]``; past
     order ``_HEAD`` it takes real orders, or ``tail_integrand`` does.  The
     leading panel width is the decay scale ``1/(alpha - 1)``; ``ratio``
-    must already be validated.  Each sum's n = 0 term is its own
-    integral; the orders 1 to ``_HEAD`` go in blocks of ``_BLOCK``, one
-    batched quadrature call per block over its orders for every sum
-    still running.  The sums still running after order ``_HEAD`` end
-    with :func:`_add_tails`.
+    must already be validated.  The orders up to ``_HEAD`` go in blocks,
+    one batched quadrature call per block over its orders for every sum
+    still running: 1 to 16, 17 to 32, ... of ``_BLOCK`` each, with n = 0
+    in the first block when there are several sums and as its own
+    integral when there is one.  The sums still running after order
+    ``_HEAD`` end with :func:`_add_tails`.
     """
     tail_cut = 1.0 / (ratio - 1.0)
     inv_4pi = 1.0 / (4.0 * math.pi)
     sums = [_OrderSum(cfg) for _ in range(count)]
-    for s, one in enumerate(sums):
-        # n = 0 alone: one integral is bit for bit a batch of one.
-        one.add(integrate_semi_infinite(
+    blocks = [np.arange(first, first + _BLOCK)
+              for first in range(1, _HEAD + 1, _BLOCK)]
+    if count == 1:
+        # n = 0 alone, bit for bit a batch of one, only for the tracer
+        # (see interaction_energy)
+        sums[0].add(integrate_semi_infinite(
             lambda y: integrand(y, np.zeros(y.shape, dtype=int),
-                                np.full(y.shape, s)),
+                                np.zeros(y.shape, dtype=int)),
             cfg.quad, tail_cut=tail_cut).scaled(inv_4pi))
+    else:
+        blocks[0] = np.arange(_BLOCK + 1)
     live = list(range(count))
-    for first in range(1, _HEAD + 1, _BLOCK):
+    for orders in blocks:
         if not live:
             break
-        # integral j of the block: sum live[j // _BLOCK] at first + j % _BLOCK
-        order_of = np.tile(np.arange(first, first + _BLOCK), len(live))
-        sum_of = np.repeat(live, _BLOCK)
+        # integral j of the block: sum live[j // width] at orders[j % width]
+        width = len(orders)
+        order_of = np.tile(orders, len(live))
+        sum_of = np.repeat(live, width)
         parts = integrate_semi_infinite_batch(
             lambda y, which: integrand(y, order_of[which], sum_of[which]),
             len(order_of), cfg.quad, tail_cut=tail_cut)
@@ -496,7 +508,7 @@ def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
         for k, s in enumerate(live):
             # any() adds the block's orders up to the one that stops the sum
             if not any(sums[s].add(part.scaled(inv_4pi))
-                       for part in parts[k * _BLOCK:(k + 1) * _BLOCK]):
+                       for part in parts[k * width:(k + 1) * width]):
                 running.append(s)
         live = running
     if live:
@@ -567,7 +579,8 @@ def _pressure_integrand(ratio: float):
     real orders pass too.  A call whose points all belong to one sum
     evaluates that sum's formula alone: the energy's from the log-ratios
     (:func:`_energy_integrand`), the e' sum's from the log-ratios and
-    their alpha-derivatives.  In a call that holds both sums, their
+    their alpha-derivatives; such a call comes once the other sum has
+    stopped.  In a call that holds both sums, n = 0 included, their
     abscissae often coincide, so the distinct (order, y) pairs go to the
     Bessel kernels once, for the log-ratios and their derivatives, and
     each formula then reads its own sum's points.  Every step is
@@ -706,13 +719,15 @@ def pressure_inner(ratio: float,
     computes it, and e' from the closed-form alpha-derivative of the
     mode factor (:func:`log_mode_factor_dalpha`) through the same
     quadrature and stopping rule.  The two run as one (:func:`_mode_sums`):
-    they share each block's lockstep rounds and each round's Bessel kernel
-    call, which sees every distinct (order, y) pair once (a round of one
-    sum computes only what that sum uses, :func:`_pressure_integrand`).
-    The values are still, bit for bit, those of each sum alone:
-    ``energy_result`` equals :func:`interaction_energy` at the same ratio
-    and numerics.  ``error`` is the bound ``2 error_e + alpha error_e'``,
-    and the result converged when both sums did.
+    they share each block's lockstep rounds, from the first block, orders
+    0-16, on, and each round's Bessel kernel call, which sees every
+    distinct (order, y) pair once (a round of one sum computes only what
+    that sum uses, :func:`_pressure_integrand`).  The values are still,
+    bit for bit, those of each sum alone: ``energy_result`` equals
+    :func:`interaction_energy`, whose n = 0 is an integral of its own, at
+    the same ratio and numerics.  ``error`` is the bound
+    ``2 error_e + alpha error_e'``, and the result converged when both
+    sums did.
     """
     ratio = _validate_ratio(ratio)
     energy, derivative = _mode_sums(_pressure_integrand(ratio), 2, ratio, cfg)

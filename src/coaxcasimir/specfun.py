@@ -72,9 +72,10 @@ powers of 1/n and the two log constants are Python float (libm)
 operations per order, because NumPy's vectorized ``pow`` differs from
 libm's in the last bit of some powers.  ``ive`` takes the order array as
 it is, and the K recurrence runs to the block's highest order,
-elementwise.  A call at one order keeps only the recurrence's last two
-rows, which are its pair; a call at several keeps every row, and each
-point picks its pair from them.  Each point then takes its next step.
+elementwise.  A call at one order runs it on every point and keeps only
+its last two rows, which are its pair; a call at several runs it once
+per distinct abscissa, keeps every row, and each point picks its pair
+by (order, distinct abscissa).  Each point then takes its next step.
 The large-order kernel and the private ratio functions also take real
 orders above 40, for which the uniform expansions hold alike; only the
 mode sums' tail in :mod:`.exact` passes them, and the public functions
@@ -278,12 +279,14 @@ def _scaled_k_upward(n, x: np.ndarray):
     :math:`k_{j+1} = k_{j-1} + (2j/x)\,k_j` (DLMF 10.29.1; the factor
     :math:`e^{x}` is common to every term) is stable upward, since
     :math:`K_j` grows with j.  The order array ``n`` matches ``x``; the
-    recurrence runs to its highest order.  At one order it keeps only its
-    last two rows, which are the pair (``k1e``, ``k0e`` at order 0);
-    at several it keeps the table of rows and each point picks its own
-    pair.  It is elementwise, so each point's values do not depend on the
-    other orders.  A value that leaves the double range becomes ``inf``
-    without a warning.
+    recurrence runs to its highest order.  At one order it runs on every
+    point and keeps only its last two rows, which are the pair (``k1e``,
+    ``k0e`` at order 0).  At several it runs on the distinct abscissae
+    only, from ``np.unique``, keeps the table of rows, and each point
+    picks its pair by its order and the index of its abscissa.  It is
+    elementwise, so each point's values do not depend on the other
+    orders or on which abscissae repeat.  A value that leaves the double
+    range becomes ``inf`` without a warning.
     """
     top = int(n.max())
     if top == n.min():
@@ -294,16 +297,18 @@ def _scaled_k_upward(n, x: np.ndarray):
             for j in range(1, top):
                 below, k_n = k_n, below + (2.0 * j / x) * k_n
         return below, k_n
-    k = np.empty((top + 1,) + x.shape)
-    k[0] = _sp.k0e(x)
-    k[1] = _sp.k1e(x)
+    distinct, point = np.unique(x, return_inverse=True)
+    point = point.reshape(x.shape)
+    k = np.empty((top + 1, distinct.size))
+    k[0] = _sp.k0e(distinct)
+    k[1] = _sp.k1e(distinct)
     with np.errstate(over="ignore"):
         for j in range(1, top):
-            k[j + 1] = k[j - 1] + (2.0 * j / x) * k[j]
-    # each point's pair from the flattened (order, point) table
-    point = np.arange(x.size).reshape(x.shape)
+            k[j + 1] = k[j - 1] + (2.0 * j / distinct) * k[j]
+    # each point's pair from the flattened (order, distinct abscissa) table
     k = k.reshape(-1)
-    return k[np.abs(n - 1) * x.size + point], k[n * x.size + point]
+    return (k[np.abs(n - 1) * distinct.size + point],
+            k[n * distinct.size + point])
 
 
 def _log_ik_scipy(n, x: np.ndarray):

@@ -73,7 +73,17 @@ def test_unknown_command_is_usage_error(capsys):
 def test_energy_rejects_alpha_at_or_below_one(capsys):
     code, payload = run_json(capsys, "energy", "--alpha", "0.5")
     assert code == 2
-    assert payload["error"] == "alpha must exceed 1"
+    assert payload["error"] == "alpha must be finite and exceed 1"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command, option", [("energy", "--alpha"),
+                                             ("sweep", "--alpha-min")])
+def test_non_finite_alpha_is_usage_error(capsys, command, option, value):
+    """A non-finite ratio exits 2 with a message that names the check."""
+    code, payload = run_json(capsys, command, f"{option}={value}")
+    assert code == 2
+    assert payload["error"] == "alpha must be finite and exceed 1"
 
 
 def test_energy_requires_alpha(capsys):

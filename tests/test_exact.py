@@ -127,7 +127,20 @@ def test_energy_derivative_matches_finite_differences(ratio):
 
 
 def test_pressure_reuses_the_energy_sum():
-    assert pressure_inner(2.0).energy_result == interaction_energy(2.0)
+    for ratio in (1.01, 1.1, 2.0, 4.0):
+        assert (pressure_inner(ratio).energy_result
+                == interaction_energy(ratio))
+
+
+@pytest.mark.parametrize("ratio", [1.01, 1.1, 2.0, 4.0])
+def test_energy_sum_run_twice_as_one_equals_the_lone_sum(ratio):
+    """Two copies of the energy sum, whose n = 0 terms join the first
+    block, each give, field for field, the lone sum's result, whose
+    n = 0 is its own integral."""
+    twice = exact._mode_sums(exact._energy_integrand(ratio), 2, ratio,
+                             DEFAULT_NUMERICS)
+    alone = interaction_energy(ratio)
+    assert twice == [alone, alone]
 
 
 def test_log_mode_factor_matches_oracle():
@@ -267,12 +280,17 @@ def test_order_blocks_equal_one_order_integrals(factor, mode_sum):
                                              * (1.0 / (4.0 * math.pi)))
 
 
-def _head_blocks(calls):
-    """Each kernel call's block, by index: n = 0 alone is block 0, and the
-    orders 1-16, ..., 129-144 blocks 1 to 9; None for a call whose orders
-    lie in no one block."""
-    blocks = [{0}] + [set(range(first, first + 16))
-                      for first in range(1, 145, 16)]
+def _head_blocks(calls, joined=False):
+    """Each kernel call's block, by index, and the blocks: n = 0 alone is
+    block 0 and the orders 1-16, ..., 129-144 blocks 1 to 9, or, with
+    ``joined``, n = 0 opens the first block, 0-16, and 17-32, ...,
+    129-144 follow as blocks 1 to 8.  None for a call whose orders lie
+    in no one block."""
+    blocks = [set(range(first, first + 16)) for first in range(1, 145, 16)]
+    if joined:
+        blocks[0].add(0)
+    else:
+        blocks.insert(0, {0})
     return blocks, [next((k for k, block in enumerate(blocks)
                           if set(n.tolist()) <= block), None)
                     for n in calls]
@@ -290,13 +308,13 @@ def _recording_energy_kernel(monkeypatch):
     return seen
 
 
-def _assert_head_schedule(calls):
-    """Integer orders reach the kernel as n = 0 alone and then the nine
-    16-wide blocks 1-16, ..., 129-144, one block after another, each first
-    whole; no call mixes blocks and none goes past order 144."""
+def _assert_head_schedule(calls, joined=False):
+    """Integer orders reach the kernel in the blocks of
+    :func:`_head_blocks`, one block after another, each first whole; no
+    call mixes blocks and none goes past order 144."""
     assert all(n.dtype.kind == "i" for n in calls)
     assert max(int(n.max()) for n in calls) == 144
-    blocks, index = _head_blocks(calls)
+    blocks, index = _head_blocks(calls, joined)
     assert None not in index
     assert index == sorted(index)
     for k, block in enumerate(blocks):
@@ -333,9 +351,9 @@ def test_order_cap_bounds_every_block(monkeypatch):
 
 
 def test_pressure_order_cap_bounds_every_block(monkeypatch):
-    """The pressure's integer orders reach ``_ratio_logs_dalpha`` in the
-    same fixed blocks, ending at 144; the tail's orders are real and lie
-    above 144."""
+    """The pressure's integer orders reach its kernels in fixed blocks,
+    n = 0 in the first, 0-16, then 17-32, ..., ending at 129-144; the
+    tail's orders are real and lie above 144."""
     pressure_calls = _recording_kernel(monkeypatch)
     result = pressure_inner(1.01)
     for one_sum in (result.energy_result, result.derivative_result):
@@ -345,7 +363,38 @@ def test_pressure_order_cap_bounds_every_block(monkeypatch):
     assert tail_orders and min(n.min() for n in tail_orders) > 144
     pressure_head = [n for n, _ in pressure_calls if n.dtype.kind == "i"]
     assert len(pressure_head) + len(tail_orders) == len(pressure_calls)
-    _assert_head_schedule(pressure_head)
+    _assert_head_schedule(pressure_head, joined=True)
+
+
+def _counting_single_integrals(monkeypatch):
+    """Count the calls of ``exact.integrate_semi_infinite``."""
+    calls = []
+    single = exact.integrate_semi_infinite
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return single(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "integrate_semi_infinite", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ratio", [1.01, 2.0])
+def test_pressure_makes_no_single_integral(monkeypatch, ratio):
+    """The pressure's two n = 0 integrals run in its first block."""
+    calls = _counting_single_integrals(monkeypatch)
+    pressure_inner(ratio)
+    assert calls == []
+
+
+def test_energy_makes_one_single_integral(monkeypatch):
+    """The lone energy sum keeps its n = 0 as one
+    ``exact.integrate_semi_infinite`` call: perfbench/tracer.py wraps
+    that name to time the quadrature layer of the near-contact energy,
+    and expects it to be reached there."""
+    calls = _counting_single_integrals(monkeypatch)
+    interaction_energy(1.01)
+    assert len(calls) == 1
 
 
 def test_near_contact_sum_counts_only_the_orders_it_uses():

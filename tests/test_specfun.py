@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
+from coaxcasimir import specfun
 from coaxcasimir.specfun import (
     _SCIPY_ORDER_MAX,
     _SERIES_BASIS,
@@ -363,6 +364,58 @@ def test_one_order_k_overflow_stays_a_silent_inf():
     assert np.isinf(got[1][0]) and np.isfinite(got[1][1:]).all()
     for value, table in zip(got, want):
         assert np.array_equal(value, table)
+
+
+def _repeated_abscissae():
+    """Orders 0-40 on a (2, M) argument, stacked as ``_ratio_logs``
+    stacks y and alpha y, whose abscissae repeat within and across rows;
+    x = 1e-8 at order 40 takes K past the double range."""
+    rng = np.random.default_rng(40)
+    pool = np.concatenate((np.geomspace(1e-2, 1e3, 50), [1e-8]))
+    x = rng.choice(pool, size=(2, 150))
+    x[1, :30] = x[0, 30:60]
+    x[:, :2] = 1e-8
+    n = rng.integers(0, 41, size=x.shape)
+    n[:, 0], n[:, 1] = 40, 1
+    return n, x
+
+
+def test_several_order_k_recurrence_on_repeated_abscissae_equals_the_table():
+    """Run once per distinct abscissa, the recurrence gives each point,
+    bit for bit, the pair the table over every point gives it; an
+    order-40 overflow stays a silent ``inf``."""
+    n, x = _repeated_abscissae()
+    assert np.unique(x).size < x.size // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _scaled_k_upward(n, x)
+    want = _scaled_k_table(n, x)
+    assert np.isinf(got[1][:, 0]).all() and np.isfinite(got[1][:, 1]).all()
+    for value, table in zip(got, want):
+        assert value.shape == x.shape
+        assert np.array_equal(value, table)
+
+
+def test_several_order_k_recurrence_starts_from_distinct_abscissae(
+        monkeypatch):
+    """``k0e`` and ``k1e`` each see every distinct abscissa once."""
+    n, x = _repeated_abscissae()
+    seen = []
+
+    def recording(name):
+        kernel = getattr(special, name)
+
+        def record(z):
+            seen.append((name, np.array(z)))
+            return kernel(z)
+        return record
+
+    for name in ("k0e", "k1e"):
+        monkeypatch.setattr(specfun._sp, name, recording(name))
+    _scaled_k_upward(n, x)
+    assert [name for name, _ in seen] == ["k0e", "k1e"]
+    for _, z in seen:
+        assert np.array_equal(np.sort(z, axis=None), np.unique(x))
 
 
 def test_k_overflow_raises_without_warning():
