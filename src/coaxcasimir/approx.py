@@ -288,7 +288,9 @@ def enumerate_orbits(ratio: float, length_cap: float,
     ``2 pi`` admits infinitely many of them: ``max_bounces`` keeps the
     enumeration finite and is a hard ceiling, not a physical cutoff.
     Radial paths have length ``2 * repeats * (1 - 1/ratio)``; every
-    repeat count under the cap is listed.
+    repeat count under the cap is listed, up to ``max_bounces`` repeats
+    (a radial record has ``bounces=1``, one bounce on the outer wall per
+    repeat), so that a cap of many radial lengths still ends.
 
     Returns orbits sorted by length (ties broken by kind and labels).
     """
@@ -320,7 +322,7 @@ def enumerate_orbits(ratio: float, length_cap: float,
             ))
     radial_unit = 2.0 * (1.0 - 1.0 / ratio)
     repeats = 1
-    while repeats * radial_unit <= length_cap:
+    while repeats <= max_bounces and repeats * radial_unit <= length_cap:
         orbits.append(Orbit(
             kind="radial",
             bounces=1,

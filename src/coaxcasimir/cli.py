@@ -593,7 +593,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _resolve_options(args)
         return args.func(args)
-    except (NonFiniteIntegrandError, OverflowError) as exc:
+    except (NonFiniteIntegrandError, ArithmeticError) as exc:
         return _fail(str(exc), _EXIT_NUMERICAL)
     except ValueError as exc:
         # a usage error: the parser's, an option's, or a domain object's

@@ -246,11 +246,19 @@ def force_scale(geom: EccentricGeometry) -> float:
     """The linear-response force scale F0 = pi^3 hbar c L a / 60 (b-a)^4.
 
     The small-offset force is ``offset_fraction * force_scale``; the
-    scale itself is in newtons.
+    scale itself is in newtons.  Raises OverflowError when F0 is not a
+    finite float, as for gaps whose fourth power leaves the double range.
     """
     a = geom.base.inner_radius
     gap = geom.base.outer_radius - a
-    return math.pi**3 * HBAR_C * geom.base.length * a / (60.0 * gap**4)
+    try:
+        scale = math.pi**3 * HBAR_C * geom.base.length * a / (60.0 * gap**4)
+    except ArithmeticError:  # gap**4 overflowed, or underflowed to 0
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise OverflowError(
+            f"the force scale F0 is not a finite float at a gap of {gap!r}")
+    return scale
 
 
 def eccentric_force_closed_form(geom: EccentricGeometry) -> float:

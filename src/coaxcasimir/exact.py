@@ -61,21 +61,17 @@ rule as the energy, and the pressure's error bound is
 :math:`\delta` the quadrature plus angular-truncation error of its sum.
 
 Each mode sum is a head of integer orders and, near contact, a tail.
-The head integrates the orders in lockstep blocks.  One driver,
-:func:`_mode_sums`, runs any number of sums over the same orders as
-one: each block is one
+One driver, :func:`_mode_sums`, runs any number of sums over the same
+orders as one, in lockstep blocks of orders; its docstring gives the
+schedule.  Each block is one
 :func:`~.quadrature.integrate_semi_infinite_batch` call over the block's
 orders for every sum still running, and a sum that has stopped drops out
-of later blocks.  The blocks of the pressure's two sums are 0-16, then
-17-32, ..., 129-144, so the two sums share every lockstep round, n = 0
-included.  The energy's lone sum takes its n = 0 term alone, then the
-nine blocks 1-16, 17-32, ..., 129-144.  In a round that holds both of
-the pressure's sums, their integrand hands the Bessel kernel each
-distinct (order, y) pair once, then applies the energy formula to the
-energy sum's abscissae and the e' formula to those of the e' sum; a
-round that holds one sum (every round after the other sum has stopped)
-evaluates that sum's formula alone, and the energy's takes no
-alpha-derivative logs.  Every
+of later blocks.  In a round that holds both of the pressure's sums,
+their integrand hands the Bessel kernel each distinct (order, y) pair
+once, then applies the energy formula to the energy sum's abscissae and
+the e' formula to those of the e' sum; a round that holds one sum (every
+round after the other sum has stopped) evaluates that sum's formula
+alone, and the energy's takes no alpha-derivative logs.  Every
 order of every sum keeps its own adaptive panels and every kernel is
 elementwise, so each per-order integral, and each sum, is bit for bit
 what that sum alone, one order at a time, gives.  Within each
@@ -84,7 +80,7 @@ side as well and fold in order (:mod:`.quadrature`): fewer rounds, the
 same bits, and a segment started past the march's stop counts in no
 field.  The stopping rule reads each sum's orders one by one; the
 orders of its last block past its stopping order are discarded and
-count in no field of its result, and no block reaches past order 144.
+count in no field of its result.
 
 A sum needs about 10/(alpha - 1) orders, so below alpha of about 1.097
 one may still run after order N = 144.  Its orders past N then come as one
@@ -198,18 +194,19 @@ class NumericsConfig:
 
 DEFAULT_NUMERICS = NumericsConfig()
 
-#: The orders 1 to ``_HEAD`` are summed one by one, in lockstep blocks of
-#: ``_BLOCK`` orders (``_HEAD`` is a multiple of ``_BLOCK``); several sums
-#: run as one take n = 0 in their first block as well.  One Bessel
-#: kernel call per regime serves the pending panels of a whole block, and
-#: the orders of the last block past the stopping order are wasted work
-#: (at most ``_BLOCK - 1`` orders).  A sum still running after order
-#: ``_HEAD`` adds the orders past it as an integral over real order
-#: (:func:`_add_tails`).  The default sweep (up to order 138), every
-#: pinned ratio and the double route stop sooner; the double route, which
-#: has no tail, ends at ``_HEAD`` as capped.
+#: The integer orders up to ``_HEAD`` go in lockstep blocks ``_BLOCK``
+#: wide (``_HEAD`` is a multiple of ``_BLOCK``; the schedule is
+#: :func:`_mode_sums`'s).  One Bessel kernel call per regime serves the
+#: pending panels of a whole block, and the orders of the last block past
+#: the stopping order are wasted work (at most ``_BLOCK - 1`` orders).
+#: The default sweep (up to order 138), every pinned ratio and the double
+#: route stop by ``_HEAD``; the double route, which has no tail, ends
+#: there as capped.
 _BLOCK = 16
 _HEAD = 144
+
+#: The 1/(4 pi) in front of every mode sum.
+_INV_4PI = 1.0 / (4.0 * math.pi)
 
 #: Gregory's end terms in backward differences at the last summed order
 #: N: sum_{n > N} F(n) = int_N^inf F(nu) dnu - sum_k _GREGORY[k] nabla^k
@@ -445,55 +442,50 @@ def interaction_energy(ratio: float,
     Returns
     -------
     EnergyResult
+        The one energy sum of :func:`_mode_sums`, n = 0 added first.
     """
     ratio = _validate_ratio(ratio)
-    # The integer orders go through log_mode_factor, which
-    # perfbench/tracer.py wraps to time the mode-factor layer; it refuses
-    # real orders, so the tail calls the private kernel.  For the same
-    # tracer, the quadrature layer, this lone sum's n = 0 stays one
-    # integrate_semi_infinite call (_mode_sums keeps it so for one sum).
-    return _mode_sums(
-        lambda y, n, sums: y * log_mode_factor(n, y, ratio), 1, ratio, cfg,
-        tail_integrand=_energy_integrand(ratio))[0]
+    energy = _OrderSum(cfg)
+    # n = 0 stays its own integral of log_mode_factor only because
+    # perfbench/tracer.py wraps both names and expects them reached here.
+    energy.add(integrate_semi_infinite(
+        lambda y: y * log_mode_factor(0, y, ratio), cfg.quad,
+        tail_cut=1.0 / (ratio - 1.0)).scaled(_INV_4PI))
+    return _mode_sums(_energy_integrand(ratio), [energy], ratio, cfg)[0]
 
 
 def _energy_integrand(ratio: float):
-    """The batched ``y ln M_n`` of the energy sum, without the public
-    checks, so that real orders pass too."""
+    """The batched ``y ln M_n`` of the energy sum, through the kernel
+    without the public checks, so that the tail's real orders pass too."""
     return lambda y, n, sums: y * _energy_factor(*_ratio_logs(n, y, ratio)[:2])
 
 
-def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
-               tail_integrand=None) -> list[EnergyResult]:
-    """``count`` angular sums over the same orders, run as one.
+def _mode_sums(integrand, sums: list, ratio: float,
+               cfg: NumericsConfig) -> list[EnergyResult]:
+    """Run the angular sums ``sums`` (``_OrderSum``) over the same orders
+    as one, and return their results.
 
     Sum ``s`` is ``sum_n integral_0^inf integrand(y, n, s) dy / (4 pi)``:
     the batched ``integrand(y, n, sums)`` returns, for each abscissa
-    ``y[j]``, the integrand of sum ``sums[j]`` at order ``n[j]``; past
-    order ``_HEAD`` it takes real orders, or ``tail_integrand`` does.  The
-    leading panel width is the decay scale ``1/(alpha - 1)``; ``ratio``
-    must already be validated.  The orders up to ``_HEAD`` go in blocks,
-    one batched quadrature call per block over its orders for every sum
-    still running: 1 to 16, 17 to 32, ... of ``_BLOCK`` each, with n = 0
-    in the first block when there are several sums and as its own
-    integral when there is one.  The sums still running after order
-    ``_HEAD`` end with :func:`_add_tails`.
+    ``y[j]``, the integrand of sum ``sums[j]`` at order ``n[j]``, integer
+    orders in the head and real ones past it.  The leading panel width is
+    the decay scale ``1/(alpha - 1)``; ``ratio`` must already be
+    validated.
+
+    The schedule: the orders up to ``_HEAD`` go in blocks, one batched
+    quadrature call per block over its orders for every sum still
+    running.  The first block runs from the first order the sums (which
+    all hold the same orders) do not hold yet up to ``_BLOCK``: 0 to 16
+    for new sums, 1 to 16 when the caller has added n = 0 to each.  Then
+    come 17 to 32, ..., 129 to 144, and no block reaches past ``_HEAD``.
+    The sums still running after it end with :func:`_add_tails`, on the
+    same integrand.
     """
     tail_cut = 1.0 / (ratio - 1.0)
-    inv_4pi = 1.0 / (4.0 * math.pi)
-    sums = [_OrderSum(cfg) for _ in range(count)]
-    blocks = [np.arange(first, first + _BLOCK)
-              for first in range(1, _HEAD + 1, _BLOCK)]
-    if count == 1:
-        # n = 0 alone, bit for bit a batch of one, only for the tracer
-        # (see interaction_energy)
-        sums[0].add(integrate_semi_infinite(
-            lambda y: integrand(y, np.zeros(y.shape, dtype=int),
-                                np.zeros(y.shape, dtype=int)),
-            cfg.quad, tail_cut=tail_cut).scaled(inv_4pi))
-    else:
-        blocks[0] = np.arange(_BLOCK + 1)
-    live = list(range(count))
+    starts = [len(sums[0].per_order), *range(_BLOCK + 1, _HEAD + 1, _BLOCK)]
+    blocks = [np.arange(first, end)
+              for first, end in zip(starts, starts[1:] + [_HEAD + 1])]
+    live = list(range(len(sums)))
     for orders in blocks:
         if not live:
             break
@@ -507,12 +499,12 @@ def _mode_sums(integrand, count: int, ratio: float, cfg: NumericsConfig,
         running = []
         for k, s in enumerate(live):
             # any() adds the block's orders up to the one that stops the sum
-            if not any(sums[s].add(part.scaled(inv_4pi))
+            if not any(sums[s].add(part.scaled(_INV_4PI))
                        for part in parts[k * width:(k + 1) * width]):
                 running.append(s)
         live = running
     if live:
-        _add_tails(tail_integrand or integrand, sums, live, tail_cut, cfg)
+        _add_tails(integrand, sums, live, tail_cut, cfg)
     return [one.result() for one in sums]
 
 
@@ -541,7 +533,6 @@ def _add_tails(integrand, sums: list, live: list, tail_cut: float,
     them, so their nodes are the first in nu, as many as the outer
     result's ``evaluations``.
     """
-    inv_4pi = 1.0 / (4.0 * math.pi)
     scale = np.array([abs(sums[s].total) for s in live])
     ids = np.asarray(live)
     # per sum: (nu - _HEAD, error, evaluations, converged) of each node
@@ -553,9 +544,9 @@ def _add_tails(integrand, sums: list, live: list, tail_cut: float,
             lambda y, j: integrand(y, nu[j], ids[which[j]]), len(u),
             cfg.quad, tail_cut=tail_cut)
         for k, at, part in zip(which.tolist(), u.tolist(), parts):
-            nodes[k].append((at, part.error_estimate * inv_4pi,
+            nodes[k].append((at, part.error_estimate * _INV_4PI,
                              part.evaluations, part.converged))
-        values = np.array([part.value for part in parts]) * inv_4pi
+        values = np.array([part.value for part in parts]) * _INV_4PI
         return values / scale[which]
 
     parts = integrate_semi_infinite_batch(
@@ -580,10 +571,11 @@ def _pressure_integrand(ratio: float):
     evaluates that sum's formula alone: the energy's from the log-ratios
     (:func:`_energy_integrand`), the e' sum's from the log-ratios and
     their alpha-derivatives; such a call comes once the other sum has
-    stopped.  In a call that holds both sums, n = 0 included, their
-    abscissae often coincide, so the distinct (order, y) pairs go to the
-    Bessel kernels once, for the log-ratios and their derivatives, and
-    each formula then reads its own sum's points.  Every step is
+    stopped.  In a call that holds both sums (the block schedule is
+    :func:`_mode_sums`'s) their abscissae often coincide, so the distinct
+    (order, y) pairs go to the Bessel kernels once, for the log-ratios
+    and their derivatives, and each formula then reads its own sum's
+    points.  Every step is
     elementwise, so each point's value is what the sum's own integrand
     gives it.
     """
@@ -718,19 +710,20 @@ def pressure_inner(ratio: float,
     Two mode sums: the energy, exactly as :func:`interaction_energy`
     computes it, and e' from the closed-form alpha-derivative of the
     mode factor (:func:`log_mode_factor_dalpha`) through the same
-    quadrature and stopping rule.  The two run as one (:func:`_mode_sums`):
-    they share each block's lockstep rounds, from the first block, orders
-    0-16, on, and each round's Bessel kernel call, which sees every
-    distinct (order, y) pair once (a round of one sum computes only what
-    that sum uses, :func:`_pressure_integrand`).  The values are still,
-    bit for bit, those of each sum alone: ``energy_result`` equals
-    :func:`interaction_energy`, whose n = 0 is an integral of its own, at
-    the same ratio and numerics.  ``error`` is the bound
-    ``2 error_e + alpha error_e'``, and the result converged when both
-    sums did.
+    quadrature and stopping rule.  The two run as one, two new sums of
+    :func:`_mode_sums`, and share each block's lockstep rounds and each
+    round's Bessel kernel call, which sees every distinct (order, y) pair
+    once (a round of one sum computes only what that sum uses,
+    :func:`_pressure_integrand`).  The values are still, bit for bit,
+    those of each sum alone: ``energy_result`` equals
+    :func:`interaction_energy` at the same ratio and numerics.  ``error``
+    is the bound ``2 error_e + alpha error_e'``, and the result converged
+    when both sums did.
     """
     ratio = _validate_ratio(ratio)
-    energy, derivative = _mode_sums(_pressure_integrand(ratio), 2, ratio, cfg)
+    sums = [_OrderSum(cfg), _OrderSum(cfg)]
+    energy, derivative = _mode_sums(_pressure_integrand(ratio), sums, ratio,
+                                    cfg)
     return PressureResult(
         value=2.0 * energy.value + ratio * derivative.value,
         error=float(2.0 * energy.error + ratio * derivative.error),

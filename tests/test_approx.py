@@ -202,6 +202,20 @@ def test_orbit_radial_repeats_fill_the_cap():
     assert repeats == [1, 2, 3]  # lengths 1, 2, 3 all under the cap
 
 
+@pytest.mark.parametrize("ratio, cap, max_bounces", [
+    (1.0000001, 20.0, 64),   # about 1e8 radial lengths under the cap
+    (2.0, 1e9, 64),
+    (2.0, 1e9, 8),
+])
+def test_orbit_radial_repeats_stop_at_the_bounce_ceiling(ratio, cap,
+                                                         max_bounces):
+    """Radial repeats under a long cap end at ``max_bounces``, as the
+    polygons do, so the enumeration finishes."""
+    orbits = enumerate_orbits(ratio, cap, max_bounces=max_bounces)
+    repeats = [o.repeats for o in orbits if o.kind == "radial"]
+    assert sorted(repeats) == list(range(1, max_bounces + 1))
+
+
 @given(
     bounces=st.integers(min_value=2, max_value=12),
     low=st.floats(min_value=1.05, max_value=3.0),

@@ -165,6 +165,23 @@ def test_bessel_overflow_exits_numerical(capsys, monkeypatch):
     assert "double range" in payload["error"]
 
 
+@pytest.mark.parametrize("radii", [("1e-200", "2e-200"), ("1e200", "2e200")])
+@pytest.mark.parametrize("command", [
+    ["eccentric", "--offset-fractions", "0,0.5"],
+    ["freq-shift", "--mass", "1", "--angular-frequency", "1"],
+])
+def test_force_scale_out_of_range_exits_numerical(capsys, command, radii):
+    """A gap whose fourth power leaves the double range (underflow to 0
+    or overflow) makes F0 unrepresentable: exit 3 with a JSON error that
+    names the force scale, not a traceback."""
+    inner, outer = radii
+    code = main([*command, "--inner-radius", inner, "--outer-radius", outer])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "force scale" in json.loads(captured.out)["error"]
+    assert captured.err == ""
+
+
 def test_energy_per_order_breakdown(capsys):
     code, payload = run_json(
         capsys, "energy", "--alpha", "2.5", "--per-order"

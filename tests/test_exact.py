@@ -137,8 +137,10 @@ def test_energy_sum_run_twice_as_one_equals_the_lone_sum(ratio):
     """Two copies of the energy sum, whose n = 0 terms join the first
     block, each give, field for field, the lone sum's result, whose
     n = 0 is its own integral."""
-    twice = exact._mode_sums(exact._energy_integrand(ratio), 2, ratio,
-                             DEFAULT_NUMERICS)
+    twice = exact._mode_sums(
+        exact._energy_integrand(ratio),
+        [exact._OrderSum(DEFAULT_NUMERICS) for _ in range(2)], ratio,
+        DEFAULT_NUMERICS)
     alone = interaction_energy(ratio)
     assert twice == [alone, alone]
 
@@ -297,14 +299,23 @@ def _head_blocks(calls, joined=False):
 
 
 def _recording_energy_kernel(monkeypatch):
-    """Record the orders each call of the energy's kernel receives."""
+    """Record the orders each call of the energy's kernel receives: n = 0
+    through ``exact.log_mode_factor``, the other integer orders through
+    ``exact._ratio_logs`` (whose real orders, the tail's, are left out)."""
     seen = []
+    ratio_logs = exact._ratio_logs
 
-    def recording(n, y, ratio):
-        seen.append(np.array(n))
+    def recording_factor(n, y, ratio):
+        seen.append(np.full(np.shape(y), n))
         return log_mode_factor(n, y, ratio)
 
-    monkeypatch.setattr(exact, "log_mode_factor", recording)
+    def recording_logs(n, y, ratio):
+        if n.dtype.kind == "i":
+            seen.append(n)
+        return ratio_logs(n, y, ratio)
+
+    monkeypatch.setattr(exact, "log_mode_factor", recording_factor)
+    monkeypatch.setattr(exact, "_ratio_logs", recording_logs)
     return seen
 
 
@@ -389,12 +400,22 @@ def test_pressure_makes_no_single_integral(monkeypatch, ratio):
 
 def test_energy_makes_one_single_integral(monkeypatch):
     """The lone energy sum keeps its n = 0 as one
-    ``exact.integrate_semi_infinite`` call: perfbench/tracer.py wraps
-    that name to time the quadrature layer of the near-contact energy,
-    and expects it to be reached there."""
+    ``exact.integrate_semi_infinite`` call of ``exact.log_mode_factor``,
+    and no other order reaches that function: perfbench/tracer.py wraps
+    both names, to time the quadrature and mode-factor layers of the
+    near-contact energy, and expects both to be reached there."""
     calls = _counting_single_integrals(monkeypatch)
+    orders = []
+    factor = exact.log_mode_factor
+
+    def recording(n, y, ratio):
+        orders.append(np.array(n))
+        return factor(n, y, ratio)
+
+    monkeypatch.setattr(exact, "log_mode_factor", recording)
     interaction_energy(1.01)
     assert len(calls) == 1
+    assert orders and all((n == 0).all() for n in orders)
 
 
 def test_near_contact_sum_counts_only_the_orders_it_uses():
