@@ -34,6 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import ConcentricGeometry
+from .specfun import _validate_ratio
+
 __all__ = [
     "PROXIMITY_COEFF",
     "parallel_plate_energy_density",
@@ -52,13 +55,6 @@ __all__ = [
 PROXIMITY_COEFF = math.pi**3 / 360.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _validate_ratio(ratio: float) -> float:
-    ratio = float(ratio)
-    if not math.isfinite(ratio) or ratio <= 1.0:
-        raise ValueError("radius ratio must be finite and > 1")
-    return ratio
 
 
 def _validate_exponent(exponent: float) -> float:
@@ -85,12 +81,10 @@ def effective_area(inner_radius: float, outer_radius: float, length: float,
 
     ``2 pi L inner^p outer^(1-p)``: the exponent slides between the
     outer surface area (0) and the inner one (1); 1/2 is the geometric
-    mean of the two.
+    mean of the two.  The radii and length are checked as a
+    :class:`~coaxcasimir.exact.ConcentricGeometry`'s.
     """
-    if not 0.0 < inner_radius < outer_radius:
-        raise ValueError("require 0 < inner_radius < outer_radius")
-    if not length > 0.0:
-        raise ValueError("length must be positive")
+    ConcentricGeometry(inner_radius, outer_radius, length)
     p = _validate_exponent(exponent)
     return 2.0 * math.pi * length * inner_radius**p * outer_radius ** (1.0 - p)
 
@@ -128,10 +122,8 @@ def proximity_pressure(ratio: float, exponent: float = 0.5) -> float:
     Positive (the inner cylinder is pulled outward), diverging like
     ``(ratio-1)^-4`` toward touching walls.
     """
-    ratio = _validate_ratio(ratio)
-    p = _validate_exponent(exponent)
-    energy = proximity_energy(ratio, p)
-    return energy * (3.0 - p - 3.0 * ratio / (ratio - 1.0))
+    energy = proximity_energy(ratio, exponent)
+    return energy * (3.0 - exponent - 3.0 * ratio / (ratio - 1.0))
 
 
 def semiclassical_energy(ratio: float) -> float:

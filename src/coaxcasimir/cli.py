@@ -1,4 +1,4 @@
-"""Command-line front end: sweeps, fits, orbit tables, offset-force curves.
+"""Command-line front end: sweeps, fits, orbit lists, offset-force curves.
 
 ``coaxcasimir --help`` lists the subcommands, and ``coaxcasimir <command>
 --help`` each option with its default and choices.  Every subcommand
@@ -7,16 +7,20 @@ the flags, the ``--config`` keys and the help text are built.  A value
 comes from its flag, else the ``--config`` JSON file, else the default;
 flag strings and config values pass the same conversion and checks.
 
-Outputs are byte-stable across runs: floats are rendered with ``repr``
-(shortest round-trip form), columns have a fixed documented order, JSON
-keys are sorted, no timestamps are embedded, and files are written
+The row commands (``sweep``, ``eccentric``, ``orbits``) write their rows
+through one writer, as CSV or as JSON rows under a ``meta`` object that
+names the columns; the others write one JSON object.  Outputs are
+byte-stable across runs: floats are rendered with ``repr`` (shortest
+round-trip form), columns have a fixed documented order, JSON keys are
+sorted, no timestamps are embedded, and files are written
 atomically (temp file + rename) so an invalid invocation never leaves a
 partial output behind.
 
 Exit codes: 0 success; 2 usage or domain error; 3 numerical failure:
 non-convergence (results are still emitted, flagged per row), or an
-integrand that returned a non-finite value or a Bessel value that left
-the double range (a JSON ``error`` only).
+integrand that returned a non-finite value, or a Bessel value, force
+scale or frequency shift that left the double range (a JSON ``error``
+only).
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ def _json_text(payload) -> str:
 
 
 def _csv_text(header: list[str], rows: list[dict]) -> str:
-    # cells are floats and strings; str of a float is its repr
+    # cells are floats, ints, bools and strings; str of a float is its repr
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(row[col]) for col in header))
@@ -329,19 +333,18 @@ def _exit_code(rows: list[dict]) -> int:
     return _EXIT_NUMERICAL if any(r["status"] != "ok" for r in rows) else 0
 
 
-def _emit_rows(args, rows: list[dict], meta: dict) -> int:
-    """Rows as CSV, or as JSON under ``meta``; returns the exit code.
+def _emit_rows(args, columns: list[str], rows: list[dict], meta: dict) -> None:
+    """Rows as CSV under a header, or as JSON under ``meta``.
 
-    Every row holds the same keys, in column order.
+    Every row holds the keys ``columns``, in their order; no rows still
+    give the header.
     """
-    columns = list(rows[0])
     if args.format == "csv":
         text = _csv_text(columns, rows)
     else:
         text = _json_text({"meta": _meta(args, columns=columns, **meta),
                            "rows": rows})
     _emit(text, args.out)
-    return _exit_code(rows)
 
 
 def _cmd_energy(args) -> int:
@@ -374,7 +377,7 @@ def _cmd_sweep(args) -> int:
     worker = partial(_sweep_row, names=tuple(names),
                      prox_exponent=prox_exponent, cfg=cfg)
     rows = _run_rows(worker, grid, args.workers)
-    return _emit_rows(args, rows, {
+    _emit_rows(args, list(rows[0]), rows, {
         "alpha_min": args.alpha_min,
         "alpha_max": args.alpha_max,
         "steps": args.steps,
@@ -382,6 +385,7 @@ def _cmd_sweep(args) -> int:
         "quantities": args.quantities,
         "numerics": _numerics_echo(cfg),
     })
+    return _exit_code(rows)
 
 
 def _cmd_fit_p(args) -> int:
@@ -439,43 +443,28 @@ def _cmd_eccentric(args) -> int:
             "rel_diff": rel_diff,
             "status": "ok" if force.converged else "unconverged",
         })
-    return _emit_rows(args, rows, {
+    _emit_rows(args, list(rows[0]), rows, {
         "inner_radius": args.inner_radius,
         "outer_radius": args.outer_radius,
         "length": args.length,
     })
+    return _exit_code(rows)
+
+
+# an Orbit's fields in order; its length is in units of the outer radius
+_ORBIT_COLUMNS = ["kind", "bounces", "windings", "repeats", "length_over_b",
+                  "admissible"]
 
 
 def _cmd_orbits(args) -> int:
     orbits = enumerate_orbits(args.alpha, args.length_cap, args.max_bounces)
-    rows = [
-        {
-            "kind": orbit.kind,
-            "bounces": orbit.bounces,
-            "windings": orbit.windings,
-            "repeats": orbit.repeats,
-            "length_over_b": orbit.length,
-            "admissible": orbit.admissible,
-        }
-        for orbit in orbits
-    ]
-    if args.format == "json":
-        meta = _meta(args, alpha=args.alpha, length_cap=args.length_cap,
-                     max_bounces=args.max_bounces)
-        text = _json_text({"meta": meta, "rows": rows})
-    else:
-        header = ["kind", "bounces", "windings", "repeats", "length_over_b",
-                  "admissible"]
-        widths = [9, 9, 10, 9, 23, 10]
-        lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            cells = [str(row["kind"]), str(row["bounces"]),
-                     str(row["windings"]), str(row["repeats"]),
-                     repr(row["length_over_b"]),
-                     "yes" if row["admissible"] else "no"]
-            lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    rows = [dict(zip(_ORBIT_COLUMNS, vars(orbit).values()))
+            for orbit in orbits]
+    _emit_rows(args, _ORBIT_COLUMNS, rows, {
+        "alpha": args.alpha,
+        "length_cap": args.length_cap,
+        "max_bounces": args.max_bounces,
+    })
     return 0
 
 
@@ -492,9 +481,12 @@ def _cmd_freq_shift(args) -> int:
     return 0
 
 
-# Checks shared by several options; the domain objects
+# Checks shared by several options.  The domain objects
 # (ConcentricGeometry, EccentricGeometry, ResonatorParams,
-# enumerate_orbits) make their own, so none is restated here.
+# enumerate_orbits) make their own, and those are not restated here.
+# _ALPHA_CHECK does restate the radius-ratio check: its message names
+# the option, and it fails before a worker pool starts, or before
+# np.geomspace sees the ratio under --spacing log.
 _ALPHA_CHECK = (lambda a: math.isfinite(a) and a > 1.0,
                 "alpha must be finite and exceed 1")
 _FINITE_MAX = (math.isfinite, "alpha_max must be finite")
@@ -546,7 +538,7 @@ _COMMANDS = {
         _Opt("alpha", float, required=True, check=_ALPHA_CHECK),
         _Opt("length_cap", float, required=True),
         _Opt("max_bounces", int, 64),
-        _Opt("format", str, "table", choices=("table", "json")),
+        _ROWS_FORMAT,
     )),
     "freq-shift": (_cmd_freq_shift, "resonator frequency softening", (
         *_RADII,

@@ -242,6 +242,18 @@ def eccentric_force_numeric(geom: EccentricGeometry,
     return part.scaled(math.pi**2 * HBAR_C * geom.base.length / 720.0)
 
 
+def _finite(quantity: str, at: str, formula) -> float:
+    """``formula()``, or OverflowError naming ``quantity`` when that is
+    not a finite float."""
+    try:
+        value = formula()
+    except ArithmeticError:  # a power overflowed, or a divisor was 0
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"the {quantity} is not a finite float at {at}")
+    return value
+
+
 def force_scale(geom: EccentricGeometry) -> float:
     """The linear-response force scale F0 = pi^3 hbar c L a / 60 (b-a)^4.
 
@@ -251,14 +263,8 @@ def force_scale(geom: EccentricGeometry) -> float:
     """
     a = geom.base.inner_radius
     gap = geom.base.outer_radius - a
-    try:
-        scale = math.pi**3 * HBAR_C * geom.base.length * a / (60.0 * gap**4)
-    except ArithmeticError:  # gap**4 overflowed, or underflowed to 0
-        scale = math.inf
-    if not math.isfinite(scale):
-        raise OverflowError(
-            f"the force scale F0 is not a finite float at a gap of {gap!r}")
-    return scale
+    return _finite("force scale F0", f"a gap of {gap!r}", lambda: (
+        math.pi**3 * HBAR_C * geom.base.length * a / (60.0 * gap**4)))
 
 
 def eccentric_force_closed_form(geom: EccentricGeometry) -> float:
@@ -280,12 +286,16 @@ def frequency_shift(geom: EccentricGeometry, res: ResonatorParams) -> float:
         d(omega)/omega0 = -F0 / (2 (b - a) M w0^2),
 
     always negative.  Warns when the magnitude exceeds 0.1, outside the
-    small-shift expansion used to derive the formula.
+    small-shift expansion used to derive the formula.  Raises
+    OverflowError when the shift is not a finite float, as for a
+    squared frequency that leaves the double range.
     """
     gap = geom.base.outer_radius - geom.base.inner_radius
-    shift = -force_scale(geom) / (
-        2.0 * gap * res.mass * res.angular_frequency**2
-    )
+    scale = force_scale(geom)
+    shift = _finite(
+        "frequency shift", f"a mass of {res.mass!r} and an angular "
+        f"frequency of {res.angular_frequency!r}",
+        lambda: -scale / (2.0 * gap * res.mass * res.angular_frequency**2))
     if abs(shift) > 0.1:
         warnings.warn(
             "relative frequency shift above 0.1: small-shift assumption "

@@ -110,10 +110,10 @@ from .quadrature import (
     integrate_semi_infinite,
     integrate_semi_infinite_batch,
 )
-from .approx import _validate_ratio
 from .specfun import (
     _ratio_logs,
     _ratio_logs_dalpha,
+    _validate_ratio,
     reflection_ratio_logs,
     reflection_ratio_logs_dalpha,
 )

@@ -95,8 +95,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .approx import _validate_ratio
-
 __all__ = [
     "ScaledBesselPair",
     "scaled_modified_bessel",
@@ -191,6 +189,13 @@ def _debye_constants(orders):
     c_i = [-0.5 * math.log(2.0 * math.pi * nu) for nu in nus]
     c_k = [0.5 * math.log(math.pi / (2.0 * nu)) for nu in nus]
     return table, np.array(c_i), np.array(c_k)
+
+
+def _validate_ratio(ratio: float) -> float:
+    ratio = float(ratio)
+    if not math.isfinite(ratio) or ratio <= 1.0:
+        raise ValueError("radius ratio must be finite and > 1")
+    return ratio
 
 
 def _validate_order_argument(n, x):
@@ -328,7 +333,9 @@ def _log_ik_scipy(n, x: np.ndarray):
 
     Both products are positive and :math:`i_n k_{n+1}` is the larger, so
     the subtraction loses at most one bit.  A value that leaves the double
-    range raises ``OverflowError`` without a warning.
+    range raises ``OverflowError`` without a warning; a NaN from ``ive``
+    itself, which SciPy returns above an argument of about 1.07e9,
+    raises ``FloatingPointError``.
     """
     i_above = _sp.ive(n + 1, x)
     k_below, k_n = _scaled_k_upward(n, x)
@@ -340,6 +347,11 @@ def _log_ik_scipy(n, x: np.ndarray):
         kprime = k_below + n_over_x * k_n
     bad = (i_above <= 0.0) | ~np.isfinite(k_above) | ~(i_n > 0.0)
     if bad.any():
+        nan = np.isnan(i_above)
+        if nan.any():
+            raise FloatingPointError(
+                "scipy.special.ive returned NaN at arguments up to "
+                f"{float(x[nan].max())!r}")
         raise OverflowError(
             "scaled Bessel pair left the double range at order "
             f"{n[bad].max()}"
@@ -438,8 +450,8 @@ def reflection_ratio_logs(n, y, ratio: float):
     ``ratio * y`` go to the Bessel kernel as one array, and its four logs
     at each argument are shared between the two ratios.
     """
-    n, y, ratio = _validate_ratio_args(n, y, ratio)
-    lrd, lrn, _ = _ratio_logs(n, y, ratio)
+    ratio = _validate_ratio(ratio)
+    lrd, lrn, _ = _ratio_logs(*_validate_order_argument(n, y), ratio)
     return lrd, lrn
 
 
@@ -466,7 +478,8 @@ def reflection_ratio_logs_dalpha(n, y, ratio: float):
     straight from differences of the scaled logs.  Both derivatives are
     negative.
     """
-    return _ratio_logs_dalpha(*_validate_ratio_args(n, y, ratio))
+    ratio = _validate_ratio(ratio)
+    return _ratio_logs_dalpha(*_validate_order_argument(n, y), ratio)
 
 
 def _ratio_logs_dalpha(n, y: np.ndarray, ratio: float):
@@ -477,10 +490,3 @@ def _ratio_logs_dalpha(n, y: np.ndarray, ratio: float):
     d_lrd = -y * (np.exp(lkp - lk) + np.exp(lip - li))
     d_lrn = -y * (1.0 + (n / x) ** 2) * (np.exp(lk - lkp) + np.exp(li - lip))
     return lrd, lrn, d_lrd, d_lrn
-
-
-def _validate_ratio_args(n, y, ratio):
-    """|n| and y as arrays of one shape, and the checked ratio."""
-    ratio = _validate_ratio(ratio)
-    n, y = _validate_order_argument(n, y)
-    return n, y, ratio

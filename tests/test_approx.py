@@ -262,6 +262,16 @@ def test_proximity_domain_errors(bad):
         proximity_pressure(bad)
 
 
+@pytest.mark.parametrize("args", [
+    (0.01, math.inf, 1.0, 1.0), (0.01, 0.02, math.inf, 0.5),
+], ids=["outer-radius", "length"])
+def test_effective_area_refuses_infinite_geometry(args):
+    """The radii and length pass ConcentricGeometry's checks, finiteness
+    included."""
+    with pytest.raises(ValueError, match="radii and length must be finite"):
+        effective_area(*args)
+
+
 def test_exponent_domain_errors():
     with pytest.raises(ValueError):
         proximity_energy(2.0, -0.1)

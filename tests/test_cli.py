@@ -4,6 +4,8 @@ Commands run in-process through ``main(argv)``; stdout is captured and
 parsed exactly as a shell consumer would see it.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -41,6 +43,10 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+ORBIT_COLUMNS = ["kind", "bounces", "windings", "repeats", "length_over_b",
+                 "admissible"]
 
 
 @pytest.mark.parametrize("module", ["coaxcasimir", "coaxcasimir.cli"])
@@ -179,6 +185,21 @@ def test_force_scale_out_of_range_exits_numerical(capsys, command, radii):
     captured = capsys.readouterr()
     assert code == 3
     assert "force scale" in json.loads(captured.out)["error"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("resonator", [
+    ["--mass", "1e-300", "--angular-frequency", "1e-200"],
+    ["--mass", "1", "--angular-frequency", "1e200"],
+], ids=["divisor-underflow", "frequency-overflow"])
+def test_frequency_shift_out_of_range_exits_numerical(capsys, resonator):
+    """A shift that is not a finite float exits 3 with a JSON error that
+    names the frequency shift."""
+    code = main(["freq-shift", "--inner-radius", "0.01",
+                 "--outer-radius", "0.0101", *resonator])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "frequency shift" in json.loads(captured.out)["error"]
     assert captured.err == ""
 
 
@@ -539,6 +560,7 @@ def test_orbits_json_catalog(capsys):
         "--format", "json",
     )
     assert code == 0
+    assert payload["meta"]["columns"] == ORBIT_COLUMNS
     rows = payload["rows"]
     radial = next(r for r in rows if r["kind"] == "radial")
     assert radial["length_over_b"] == 1.0
@@ -552,18 +574,36 @@ def test_orbits_json_catalog(capsys):
     assert lengths == sorted(lengths)
 
 
-def test_orbits_table_format(capsys):
+def test_orbits_csv_is_the_default(capsys):
     code, out = run_cli(capsys, "orbits", "--alpha", "2",
                         "--length-cap", "6")
     assert code == 0
-    lines = out.splitlines()
-    header = lines[0].split()
-    assert header == [
-        "kind", "bounces", "windings", "repeats", "length_over_b",
-        "admissible",
-    ]
-    assert any("radial" in line for line in lines[1:])
-    assert any("polygon" in line for line in lines[1:])
+    assert out.splitlines()[0] == ",".join(ORBIT_COLUMNS)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {row["kind"] for row in rows} == {"radial", "polygon"}
+    assert {row["admissible"] for row in rows} == {"True", "False"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_orbits_none_below_cap_writes_header_only(capsys, fmt):
+    """A cap below every orbit's length leaves no rows, but the header
+    (or the JSON columns) is still written."""
+    code, out = run_cli(capsys, "orbits", "--alpha", "2",
+                        "--length-cap", "0.1", "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        assert out == ",".join(ORBIT_COLUMNS) + "\n"
+    else:
+        payload = json.loads(out)
+        assert payload["rows"] == []
+        assert payload["meta"]["columns"] == ORBIT_COLUMNS
+
+
+def test_orbits_table_format_is_usage_error(capsys):
+    code, payload = run_json(capsys, "orbits", "--alpha", "2",
+                             "--length-cap", "6", "--format", "table")
+    assert code == 2
+    assert payload == {"error": "format must be 'csv' or 'json'"}
 
 
 def test_orbits_requires_alpha(capsys):

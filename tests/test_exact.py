@@ -5,8 +5,10 @@ All frozen expected values were produced by ``tests/oracles.py``
 took the ``--slow`` path of that script.
 """
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,3 +702,27 @@ def test_numerics_validation():
 
 def test_energy_deterministic():
     assert interaction_energy(1.7) == interaction_energy(1.7)
+
+
+# each module's allowed sibling imports: the package imports in layers,
+# specfun/quadrature <- exact <- approx/eccentric (<- cli, above them all)
+IMPORT_LAYERS = {
+    "specfun": set(),
+    "quadrature": set(),
+    "exact": {"specfun", "quadrature"},
+    "approx": {"specfun", "quadrature", "exact"},
+    "eccentric": {"specfun", "quadrature", "exact"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(IMPORT_LAYERS))
+def test_modules_import_only_lower_layers(module):
+    source = Path(exact.__file__).with_name(f"{module}.py").read_text()
+    siblings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                siblings.add(node.module.split(".")[0])
+            else:
+                siblings.update(alias.name for alias in node.names)
+    assert siblings <= IMPORT_LAYERS[module], siblings

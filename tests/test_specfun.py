@@ -444,6 +444,15 @@ def test_order_40_overflow_edge_raises_without_warning():
     assert all(np.isfinite(log_value).all() for log_value in logs)
 
 
+def test_ive_nan_is_named_not_read_as_overflow():
+    """SciPy's ive returns NaN above an argument of about 1.07e9 while
+    k0e and k1e stay finite; the error names ive and the argument."""
+    assert math.isnan(special.ive(1, 1.1e9))
+    with pytest.raises(FloatingPointError,
+                       match=r"scipy\.special\.ive .* 1100000000\.0"):
+        _log_ik_scipy(np.array([0]), np.array([1.1e9]))
+
+
 @pytest.mark.parametrize(
     "kernel, n",
     [(_log_ik_scipy, 0), (_log_ik_scipy, 40), (_log_ik_scipy, 41),
