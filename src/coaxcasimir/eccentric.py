@@ -286,16 +286,18 @@ def frequency_shift(geom: EccentricGeometry, res: ResonatorParams) -> float:
         d(omega)/omega0 = -F0 / (2 (b - a) M w0^2),
 
     always negative.  Warns when the magnitude exceeds 0.1, outside the
-    small-shift expansion used to derive the formula.  Raises
-    OverflowError when the shift is not a finite float, as for a
-    squared frequency that leaves the double range.
+    small-shift expansion used to derive the formula.  The shift is
+    formed one division at a time, so a shift below the double range
+    rounds to -0.0 however it got there, while one above it raises
+    OverflowError.
     """
     gap = geom.base.outer_radius - geom.base.inner_radius
     scale = force_scale(geom)
+    omega = res.angular_frequency
     shift = _finite(
         "frequency shift", f"a mass of {res.mass!r} and an angular "
-        f"frequency of {res.angular_frequency!r}",
-        lambda: -scale / (2.0 * gap * res.mass * res.angular_frequency**2))
+        f"frequency of {omega!r}",
+        lambda: -(scale / (2.0 * gap)) / res.mass / omega / omega)
     if abs(shift) > 0.1:
         warnings.warn(
             "relative frequency shift above 0.1: small-shift assumption "

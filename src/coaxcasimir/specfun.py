@@ -25,11 +25,19 @@ argument array from one kernel call:
       k_{j+1}(x) = k_{j-1}(x) + \tfrac{2j}{x}\, k_j(x)
       \qquad \text{(DLMF 10.29.1)}
 
-  from ``k0e`` and ``k1e`` to orders ``|n-1|, n, n+1``.  The recurrence
-  is stable upward, because :math:`K_j` grows with j: against 40-digit
-  mpmath it errs by less than 3e-15 relative at orders 0-40 and x from
-  1e-2 to 400, where ``kve`` errs by up to 9e-15.  For I, one call of the
-  scaled :mod:`scipy.special` routine ``ive`` at order ``n+1`` only, and
+  to orders ``|n-1|, n, n+1``, stable upward because :math:`K_j` grows
+  with j.  It starts from the package's own :math:`k_0, k_1`: for
+  x <= 2 their power series (DLMF 10.31.1-2, with :math:`I_0, I_1` from
+  DLMF 10.25.2), whose coefficients are harmonic numbers, less Euler's
+  constant for K, over factorials, built at import as exact rationals;
+  for x > 2 Chebyshev series of :math:`\sqrt x\, k_0` and
+  :math:`\sqrt x\, k_1` in :math:`t = 4/x - 1`, 25 terms each,
+  committed as float literals that ``tests/oracles.py`` regenerates with
+  mpmath.  Against 40-digit mpmath from 1e-300 to 1e4, :math:`k_0` errs
+  by at most 1.4e-15 relative and :math:`k_1` by 7.4e-16.  For I, the
+  ratio :math:`r_n = I_{n+1}/I_n` by the downward recurrence
+  :math:`1/r_{j} = 2(j+1)/x + r_{j+1}`, stable for the minimal solution
+  :math:`I_j`, seeded at order 41 from the uniform expansions below; and
   :math:`i_n` from the Wronskian
 
   .. math::
@@ -37,17 +45,18 @@ argument array from one kernel call:
       I_n(x) K_{n+1}(x) + I_{n+1}(x) K_n(x) = \tfrac1x
       \qquad \text{(DLMF 10.28.2)},
 
-  in which the scalings :math:`e^{\mp x}` cancel.  At 300 random points
-  of the same range ln i errs by at most 1.9e-15 relative against
-  30-digit mpmath, where ``ive`` at order n errs by 2.5e-15.  The
-  derivatives follow from
+  as :math:`i_n = 1/(x(k_{n+1} + r_n k_n))`, in which the scalings
+  :math:`e^{\mp x}` cancel.  The derivatives follow from
 
   .. math::
 
       I_n'(x) = I_{n+1}(x) + \tfrac{n}{x} I_n(x), \qquad
-      -K_n'(x) = K_{n-1}(x) + \tfrac{n}{x} K_n(x),
+      -K_n'(x) = K_{n-1}(x) + \tfrac{n}{x} K_n(x).
 
-  sums of positive terms, so nothing cancels;
+  Every one of these is a sum of positive terms, so nothing cancels.
+  At 300 random points of orders 0-40 and x from 1e-2 to 400, each of
+  the four logs errs by at most 4.2e-16 max(1, |log|) against 40-digit
+  mpmath, and the test-suite holds them to 3e-15 max(1, |log|);
 * orders ``n >= 41``: the uniform large-order expansions of
   :math:`I_n, K_n` and of :math:`I_n', K_n'` (DLMF 10.41.3-4, polynomials
   :math:`u_k` and :math:`v_k`) carried to eighth order in ``1/n``,
@@ -70,12 +79,13 @@ laid out as (term, row, order) over the call's distinct orders, and each
 Horner step takes its term's contiguous block per point; the table's
 powers of 1/n and the two log constants are Python float (libm)
 operations per order, because NumPy's vectorized ``pow`` differs from
-libm's in the last bit of some powers.  ``ive`` takes the order array as
-it is, and the K recurrence runs to the block's highest order,
-elementwise.  A call at one order runs it on every point and keeps only
-its last two rows, which are its pair; a call at several runs it once
-per distinct abscissa, keeps every row, and each point picks its pair
-by (order, distinct abscissa).  Each point then takes its next step.
+libm's in the last bit of some powers.  The K recurrence runs to the
+block's highest order and the ratio's from order 40 down, both
+elementwise.  A call at one order runs them on every point and keeps
+only the rows it needs: K's last two, which are its pair, and its own
+ratio.  A call at several runs them once per distinct abscissa, keeps
+every row, and each point picks its values by (order, distinct
+abscissa).  Each point then takes its next step.
 The large-order kernel and the private ratio functions also take real
 orders above 40, for which the uniform expansions hold alike; only the
 mode sums' tail in :mod:`.exact` passes them, and the public functions
@@ -88,12 +98,12 @@ test-suite checks explicitly (the contract is 1e-10).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "ScaledBesselPair",
@@ -102,13 +112,73 @@ __all__ = [
     "reflection_ratio_logs_dalpha",
 ]
 
-# Largest order handled by the scipy backend.  Above this the uniform
-# asymptotic expansion is both safe (no under/overflow for any x) and
-# accurate.  Below it the backend raises OverflowError where a value leaves
-# the double range: at order 40 that happens for x below 1.2145e-6, where
-# ``ive`` returns 0 for i_41 (it flags values below about 4e-305 as
-# underflow), and lower orders reach smaller x.
-_SCIPY_ORDER_MAX = 40
+# Largest order of the small-order kernel, :func:`_log_ik_scipy`.  Above
+# it the uniform asymptotic expansion is both safe (no under/overflow for
+# any x) and accurate.  Below it the kernel raises OverflowError where a
+# value leaves the double range: at order 40 that happens for x below
+# about 8.8e-7, where k_41 overflows, and lower orders reach smaller x.
+_SMALL_ORDER_MAX = 40
+
+# Euler's constant to 40 digits, as an exact rational for the K series.
+_EULER_GAMMA = Fraction("0.5772156649015328606065120900824024310422")
+
+# Chebyshev coefficients of sqrt(x) e^x K_0(x) and sqrt(x) e^x K_1(x) in
+# t = 4/x - 1, for x > 2, sum_j c_j T_j(t); regenerated at 40 digits by
+# ``scaled_k01_chebyshev`` in ``tests/oracles.py``.
+_K0_CHEBYSHEV = (
+    1.2201515410329777,
+    -0.0314481013119645,
+    0.0015698838857300533,
+    -0.00012849549581627802,
+    1.39498137188765e-05,
+    -1.8317555227191195e-06,
+    2.766813639445015e-07,
+    -4.660489897687948e-08,
+    8.574034017414225e-09,
+    -1.6975345093890614e-09,
+    3.577397281400324e-10,
+    -7.957489244477293e-11,
+    1.8559491149546554e-11,
+    -4.514597883367398e-12,
+    1.1403405881884803e-12,
+    -2.9800969226438275e-13,
+    8.032890761452062e-14,
+    -2.2275132896116804e-14,
+    6.34007545281018e-15,
+    -1.8485905259867923e-15,
+    5.511975612080923e-16,
+    -1.678001803783195e-16,
+    5.203767167109018e-17,
+    -1.6281896379310798e-17,
+    4.724922850889063e-18,
+)
+_K1_CHEBYSHEV = (
+    1.3603130952422213,
+    0.10392373657681724,
+    -0.002857816859622779,
+    0.00019521551847135162,
+    -1.936197974166083e-05,
+    2.406484947837217e-06,
+    -3.5019606030878126e-07,
+    5.7410841254500495e-08,
+    -1.0345762465678097e-08,
+    2.0150497551970342e-09,
+    -4.1903547593419213e-10,
+    9.218315187605203e-11,
+    -2.129967838427503e-11,
+    5.1396396734747774e-12,
+    -1.2891739609297575e-12,
+    3.348419665515091e-13,
+    -8.976705167489235e-14,
+    2.4771543845631496e-14,
+    -7.019835994649044e-15,
+    2.0387001114819255e-15,
+    -6.056961025822386e-16,
+    1.837847117728872e-16,
+    -5.682330136285307e-17,
+    1.7731319226165262e-17,
+    -5.134579953338042e-18,
+)
 
 # Highest k of the Debye polynomials u_k, v_k in the large-order
 # expansions, whose series thus run to 1/n**8.
@@ -165,6 +235,61 @@ def _series_basis() -> np.ndarray:
 
 
 _SERIES_BASIS = _series_basis()
+
+
+def _k01_series() -> np.ndarray:
+    """The four power series of :func:`_scaled_k01` in q = x**2/4.
+
+    Rows (I_0, 2 I_1 / x, K_0 + ln(x/2) I_0, and the bracketed sum of
+    K_1), laid out as (term, row, 1) with the highest power first, as
+    Horner's rule takes them.  Each coefficient is a harmonic number, or
+    a harmonic number less Euler's constant, over factorials, built in
+    exact rational arithmetic and rounded once.  Folding the constant
+    into the coefficients, rather than adding ``gamma * I_0`` to the
+    sums, spares the sums a cancellation that would triple their
+    rounding error near x = 2.  They run to q**12: at q <= 1 the first
+    term left out is below 1e-18 of its sum.
+    """
+    rows = []
+    harmonic, factorial = Fraction(0), Fraction(1)
+    for k in range(13):
+        if k:
+            harmonic += Fraction(1, k)
+            factorial *= k
+        i0 = 1 / factorial**2
+        i1_half = i0 / (k + 1)
+        rows.append((i0, i1_half, (harmonic - _EULER_GAMMA) * i0,
+                     (_EULER_GAMMA - harmonic - Fraction(1, 2 * (k + 1)))
+                     * i1_half))
+    return np.array(rows[::-1], dtype=float)[:, :, None]
+
+
+def _chebyshev_powers(coefficients) -> np.ndarray:
+    r"""``sum_j c_j T_j(t)`` as coefficients of powers of t, highest first.
+
+    :math:`T_{j+1} = 2t\,T_j - T_{j-1}`, from :math:`T_{-1} = T_1 = t`,
+    runs in exact rational arithmetic on the float literals, and each
+    power's coefficient is rounded once.  For the two K series, Horner's
+    rule in powers of t is as well conditioned as Clenshaw's in
+    :math:`T_j`: the power coefficients' magnitudes sum to at most 1.2
+    times the smallest value of the series on [-1, 1].  It takes two
+    array operations a term to Clenshaw's three.
+    """
+    size = len(coefficients)
+    powers = [Fraction(0)] * size
+    below = [Fraction(0), Fraction(1)] + [Fraction(0)] * (size - 2)
+    here = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    for c in map(Fraction, coefficients):
+        powers = [p + c * h for p, h in zip(powers, here)]
+        below, here = here, [2 * a - b for a, b
+                             in zip([Fraction(0)] + here[:-1], below)]
+    return np.array(powers[::-1], dtype=float)
+
+
+_K01_SERIES = _k01_series()
+# the two Chebyshev series in powers of t, laid out as (term, row, 1)
+_K01_POWERS = np.stack([_chebyshev_powers(_K0_CHEBYSHEV),
+                        _chebyshev_powers(_K1_CHEBYSHEV)], axis=1)[:, :, None]
 
 
 def _debye_constants(orders):
@@ -278,98 +403,218 @@ def _log_ik_debye(n, x: np.ndarray):
     return log_i, log_k, log_iprime, log_kprime
 
 
-def _scaled_k_upward(n, x: np.ndarray):
-    r"""(k_{|n-1|}, k_n) by upward recurrence from ``k0e`` and ``k1e``.
+def _scaled_k01(x: np.ndarray) -> np.ndarray:
+    r"""(k_0, k_1) = e^x (K_0(x), K_1(x)), stacked on a new leading axis.
 
-    :math:`k_{j+1} = k_{j-1} + (2j/x)\,k_j` (DLMF 10.29.1; the factor
-    :math:`e^{x}` is common to every term) is stable upward, since
-    :math:`K_j` grows with j.  The order array ``n`` matches ``x``; the
-    recurrence runs to its highest order.  At one order it runs on every
-    point and keeps only its last two rows, which are the pair (``k1e``,
-    ``k0e`` at order 0).  At several it runs on the distinct abscissae
-    only, from ``np.unique``, keeps the table of rows, and each point
-    picks its pair by its order and the index of its abscissa.  It is
-    elementwise, so each point's values do not depend on the other
-    orders or on which abscissae repeat.  A value that leaves the double
-    range becomes ``inf`` without a warning.
-    """
-    top = int(n.max())
-    if top == n.min():
-        below, k_n = _sp.k0e(x), _sp.k1e(x)
-        if top == 0:
-            return k_n, below
-        with np.errstate(over="ignore"):
-            for j in range(1, top):
-                below, k_n = k_n, below + (2.0 * j / x) * k_n
-        return below, k_n
-    distinct, point = np.unique(x, return_inverse=True)
-    point = point.reshape(x.shape)
-    k = np.empty((top + 1, distinct.size))
-    k[0] = _sp.k0e(distinct)
-    k[1] = _sp.k1e(distinct)
-    with np.errstate(over="ignore"):
-        for j in range(1, top):
-            k[j + 1] = k[j - 1] + (2.0 * j / distinct) * k[j]
-    # each point's pair from the flattened (order, distinct abscissa) table
-    k = k.reshape(-1)
-    return (k[np.abs(n - 1) * distinct.size + point],
-            k[n * distinct.size + point])
-
-
-def _log_ik_scipy(n, x: np.ndarray):
-    r"""(ln i_n, ln k_n, ln i_n', ln |k_n'|) from one ``ive`` order and k.
-
-    ``n`` is an int array of orders matching ``x``.  ``ive`` gives
-    :math:`i_{n+1}` only.  The K pair ``|n-1|, n`` comes from
-    :func:`_scaled_k_upward`, and :math:`k_{n+1} = k_{|n-1|} + (2n/x)\,k_n`
-    is the recurrence's next step on the same operands, so it is bitwise
-    the next row of its table (for n = 0 it is :math:`k_1`).  The
-    Wronskian :math:`I_n K_{n+1} + I_{n+1} K_n = 1/x` (DLMF 10.28.2; the
-    scalings :math:`e^{\mp x}` cancel) then gives
+    For x <= 2, the power series of DLMF 10.31.1-2 in :math:`q = x^2/4`,
 
     .. math::
 
-        i_n = \big(1/x - i_{n+1} k_n\big) / k_{n+1}.
+        K_0 = -\ln(x/2)\, I_0 + \sum_k (H_k - \gamma)
+              \frac{q^k}{(k!)^2}, \qquad
+        K_1 = \frac1x + \frac x2 \Big[\ln(x/2)\, \frac{2 I_1}{x}
+              + \sum_k \Big(\gamma - \frac{H_k + H_{k+1}}2\Big)
+              \frac{q^k}{k!\,(k+1)!}\Big],
 
-    Both products are positive and :math:`i_n k_{n+1}` is the larger, so
-    the subtraction loses at most one bit.  A value that leaves the double
-    range raises ``OverflowError`` without a warning; a NaN from ``ive``
-    itself, which SciPy returns above an argument of about 1.07e9,
-    raises ``FloatingPointError``.
+    with :math:`I_0` and :math:`2I_1/x` from DLMF 10.25.2 and
+    :math:`H_k` the harmonic numbers, all four series in one Horner pass
+    over ``_K01_SERIES``.  For x > 2, the Chebyshev series of
+    :math:`\sqrt x\, k_0` and :math:`\sqrt x\, k_1` in :math:`t = 4/x - 1`
+    (``_K0_CHEBYSHEV``, ``_K1_CHEBYSHEV``), both in one Horner pass in
+    powers of t (:func:`_chebyshev_powers`).  Past the double range,
+    below x of about 5.6e-309, ``k_1`` is not finite, nor is ``k_0`` where
+    x/2 underflows to 0; neither warns.
     """
-    i_above = _sp.ive(n + 1, x)
-    k_below, k_n = _scaled_k_upward(n, x)
-    n_over_x = n / x
+    flat = x.reshape(-1)
+    k = np.empty((2, flat.size))
+    # index arrays on the flat argument gather and scatter faster than
+    # boolean masks on a stacked one
+    near = np.flatnonzero(flat <= 2.0)
+    far = np.flatnonzero(flat > 2.0)
+    u = flat[near]
+    q = 0.25 * u * u
+    acc = _K01_SERIES[0] * q
+    acc += _K01_SERIES[1]
+    for term in _K01_SERIES[2:]:
+        acc *= q
+        acc += term
+    i0, i1_half, k0_part, k1_part = acc
+    scale = np.exp(u)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_half = np.log(0.5 * u)
+        k[0, near] = (k0_part - log_half * i0) * scale
+        k[1, near] = (1.0 / u + (0.5 * u) * (log_half * i1_half + k1_part)
+                      ) * scale
+    u = flat[far]
+    t = 4.0 / u - 1.0
+    acc = _K01_POWERS[0] * t
+    acc += _K01_POWERS[1]
+    for term in _K01_POWERS[2:]:
+        acc *= t
+        acc += term
+    k[:, far] = acc / np.sqrt(u)
+    return k.reshape((2,) + x.shape)
+
+
+@functools.cache
+def _seed_series(m: int) -> np.ndarray:
+    """:func:`_debye_constants`'s series table at one order, as (term,
+    row), kept per order: every call of the small-order kernel seeds at
+    order 41."""
+    return _debye_constants([m])[0][:, :, 0]
+
+
+def _debye_ratio(m: int, x: np.ndarray) -> np.ndarray:
+    r""":math:`r_m = I_{m+1}(x)/I_m(x)` at one order m >= 41.
+
+    With :math:`z = x/m`, the uniform expansions (DLMF 10.41.3-4) give
+    :math:`I_m'/I_m = (\sqrt{1+z^2}/z)\,\Sigma_v/\Sigma_u`, and
+    :math:`I_{m+1} = I_m' - (m/x) I_m` (DLMF 10.29.2), so
+
+    .. math::
+
+        r_m = \big(\sqrt{1+z^2}\,\Sigma_v/\Sigma_u - 1\big) / z.
+
+    :math:`\Sigma_u` and :math:`\Sigma_v` are the I and I' series of
+    :func:`_debye_constants` at this one order (:func:`_seed_series`),
+    run by Horner with its scalar coefficients.  At small z the bracket
+    cancels to about :math:`z^2/2`; the first step of the downward
+    recurrence adds :math:`2m/x` to it, which damps that error to
+    rounding.
+    """
+    table = _seed_series(m)
+    table = table.reshape(table.shape + (1,) * x.ndim)
+    z = x / m
+    hyp = np.hypot(1.0, z)
+    t = 1.0 / hyp
+    s = t * t
+    acc = table[0] * s
+    acc += table[1]
+    for term in table[2:]:
+        acc *= s
+        acc += term
+    sum_u = 1.0 + acc[0] + t * acc[2]
+    sum_v = 1.0 + acc[1] + t * acc[3]
+    return (hyp * sum_v / sum_u - 1.0) / z
+
+
+def _ratio_rows(top: int, bottom: int, x: np.ndarray) -> np.ndarray:
+    r"""The rows :math:`r_j = I_{j+1}(x)/I_j(x)`, j = bottom..top.
+
+    :math:`1/r_j = 2(j+1)/x + r_{j+1}` (DLMF 10.29.1) is stable downward,
+    because :math:`I_j` is the recurrence's minimal solution.  Each order
+    j >= 40 takes one step from its own seed :math:`r_{j+1}`
+    (:func:`_debye_ratio`), and every lower order runs down from
+    :math:`r_{40}`, so each row depends on its own order only, never on
+    ``top``.  The rows come shaped ``(top + 1 - bottom,) + x.shape``.
+    """
+    rows = np.empty((top + 1 - bottom,) + x.shape)
+    # below x of about 1e-322, z = x/m underflows to 0 and the seed is NaN;
+    # k_1 is past the double range there, so the kernel raises anyway
     with np.errstate(over="ignore", invalid="ignore"):
+        inverse = 1.0 / x
+        for j in range(max(top, _SMALL_ORDER_MAX), bottom - 1, -1):
+            above = (_debye_ratio(j + 1, x) if j >= _SMALL_ORDER_MAX
+                     else ratio)
+            ratio = 1.0 / ((2.0 * (j + 1)) * inverse + above)
+            if j <= top:
+                rows[j - bottom] = ratio
+    return rows
+
+
+def _k_pair_and_ratio(n, x: np.ndarray):
+    r"""(k_{|n-1|}, k_n, r_n) at each point, with r_n = I_{n+1}/I_n.
+
+    K comes by the upward recurrence
+    :math:`k_{j+1} = k_{j-1} + (2j/x)\,k_j` (DLMF 10.29.1; the factor
+    :math:`e^{x}` is common to every term) from :func:`_scaled_k01`,
+    stable upward since :math:`K_j` grows with j, and r from
+    :func:`_ratio_rows`.  The order array ``n`` matches ``x``; the K
+    recurrence runs to its highest order.  At one order both run on every
+    point and keep only the rows they need: the last two of K (``k_1``,
+    ``k_0`` at order 0) and the order's own r.  At several they run on the
+    distinct abscissae only, from ``np.unique``, keep their tables of rows,
+    and each point picks its values by its order and the index of its
+    abscissa.  Both are elementwise, so each point's values do not depend
+    on the other orders or on which abscissae repeat.  A K that leaves the
+    double range is not finite, without a warning.
+    """
+    top = int(n.max())
+    if top == n.min():
+        ratio = _ratio_rows(top, top, x)[0]
+        below, k_n = _scaled_k01(x)
+        if top == 0:
+            return k_n, below, ratio
+        with np.errstate(over="ignore"):
+            for j in range(1, top):
+                below, k_n = k_n, below + (2.0 * j / x) * k_n
+        return below, k_n, ratio
+    distinct, point = np.unique(x, return_inverse=True)
+    point = point.reshape(x.shape)
+    k = np.empty((top + 1, distinct.size))
+    k[:2] = _scaled_k01(distinct)
+    with np.errstate(over="ignore"):
+        for j in range(1, top):
+            k[j + 1] = k[j - 1] + (2.0 * j / distinct) * k[j]
+    # each point's values from the flattened (order, distinct abscissa)
+    # tables
+    k = k.reshape(-1)
+    own = n * distinct.size + point
+    return (k[np.abs(n - 1) * distinct.size + point], k[own],
+            _ratio_rows(top, 0, distinct).reshape(-1)[own])
+
+
+def _log_ik_scipy(n, x: np.ndarray):
+    r"""(ln i_n, ln k_n, ln i_n', ln |k_n'|) from K and the ratio r_n.
+
+    The small-order kernel.  It keeps the name of the SciPy routines it
+    once called, because the benchmark's tracer wraps it by that name.
+    ``n`` is an int array of orders matching ``x``: orders up to
+    ``_SMALL_ORDER_MAX`` from :func:`_pair_logs`, and higher ones in the
+    tests of the regimes' overlap.  The K pair ``|n-1|, n`` and
+    :math:`r_n = I_{n+1}/I_n` come from :func:`_k_pair_and_ratio`, and
+    :math:`k_{n+1} = k_{|n-1|} + (2n/x)\,k_n` is the K recurrence's next
+    step on the same operands, so it is bitwise the next row of its table
+    (for n = 0 it is :math:`k_1`).  The Wronskian
+    :math:`I_n K_{n+1} + I_{n+1} K_n = 1/x` (DLMF 10.28.2; the scalings
+    :math:`e^{\mp x}` cancel) and :math:`I_n' = I_{n+1} + (n/x) I_n` then
+    give
+
+    .. math::
+
+        i_n = \frac{1}{x\,(k_{n+1} + r_n k_n)}, \qquad
+        i_n' = i_n\,(r_n + n/x),
+
+    sums of positive terms, so nothing cancels.  A value that leaves the
+    double range raises ``OverflowError`` without a warning.
+    """
+    k_below, k_n, ratio = _k_pair_and_ratio(n, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_over_x = n / x
         k_above = k_below + (2.0 * n / x) * k_n
-        i_n = (1.0 / x - i_above * k_n) / k_above
+        i_n = 1.0 / (x * (k_above + ratio * k_n))
         # |k_n'| <= k_{n+1}, so it is finite when k_{n+1} is
         kprime = k_below + n_over_x * k_n
-    bad = (i_above <= 0.0) | ~np.isfinite(k_above) | ~(i_n > 0.0)
+    bad = ~np.isfinite(k_above) | ~(i_n > 0.0)
     if bad.any():
-        nan = np.isnan(i_above)
-        if nan.any():
-            raise FloatingPointError(
-                "scipy.special.ive returned NaN at arguments up to "
-                f"{float(x[nan].max())!r}")
         raise OverflowError(
             "scaled Bessel pair left the double range at order "
             f"{n[bad].max()}"
         )
     return (np.log(i_n), np.log(k_n),
-            np.log(i_above + n_over_x * i_n), np.log(kprime))
+            np.log(i_n * (ratio + n_over_x)), np.log(kprime))
 
 
 def _pair_logs(n, x: np.ndarray):
     """Return (log i_n, log k_n, log i_n', log |k_n'|) at orders n >= 0.
 
     ``n`` is an int array matching ``x``, or a real array of orders
-    above ``_SCIPY_ORDER_MAX``; each point takes the regime of its order.
+    above ``_SMALL_ORDER_MAX``; each point takes the regime of its order.
     An empty argument gives four empty arrays of its shape.
     """
     if x.size == 0:
         return tuple(np.empty((4,) + x.shape))
-    small = n <= _SCIPY_ORDER_MAX
+    small = n <= _SMALL_ORDER_MAX
     if small.all():
         return _log_ik_scipy(n, x)
     if not small.any():

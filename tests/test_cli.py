@@ -4,6 +4,7 @@ Commands run in-process through ``main(argv)``; stdout is captured and
 parsed exactly as a shell consumer would see it.
 """
 
+import ast
 import csv
 import io
 import json
@@ -31,6 +32,7 @@ from coaxcasimir import (
     interaction_energy,
 )
 from coaxcasimir import cli, specfun
+from coaxcasimir.approx import proximity_energy
 from coaxcasimir.cli import main
 
 
@@ -62,6 +64,35 @@ def test_module_entry_points_run_the_cli(module):
     payload = json.loads(proc.stdout)
     assert payload["alpha"] == 2.0
     assert payload["converged"] is True
+
+
+def test_package_import_loads_no_scipy():
+    """A fresh interpreter imports the package and its cli without
+    SciPy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, coaxcasimir, coaxcasimir.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+         "'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_source_file_imports_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), (
+                path.name, node.lineno)
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -190,10 +221,9 @@ def test_force_scale_out_of_range_exits_numerical(capsys, command, radii):
 
 @pytest.mark.parametrize("resonator", [
     ["--mass", "1e-300", "--angular-frequency", "1e-200"],
-    ["--mass", "1", "--angular-frequency", "1e200"],
-], ids=["divisor-underflow", "frequency-overflow"])
+], ids=["divisor-underflow"])
 def test_frequency_shift_out_of_range_exits_numerical(capsys, resonator):
-    """A shift that is not a finite float exits 3 with a JSON error that
+    """A shift above the double range exits 3 with a JSON error that
     names the frequency shift."""
     code = main(["freq-shift", "--inner-radius", "0.01",
                  "--outer-radius", "0.0101", *resonator])
@@ -201,6 +231,34 @@ def test_frequency_shift_out_of_range_exits_numerical(capsys, resonator):
     assert code == 3
     assert "frequency shift" in json.loads(captured.out)["error"]
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("resonator", [
+    ["--mass", "1e300", "--angular-frequency", "1e10"],
+    ["--mass", "1", "--angular-frequency", "1e200"],
+], ids=["product-overflow", "frequency-overflow"])
+def test_frequency_shift_below_double_range_is_negative_zero(
+        capsys, resonator):
+    """A shift below the double range rounds to -0.0, whether the mass or
+    the squared frequency would leave the range: exit 0."""
+    code, out = run_cli(capsys, "freq-shift", "--inner-radius", "0.01",
+                        "--outer-radius", "0.0101", *resonator)
+    assert code == 0
+    shift = json.loads(out)["frequency_shift"]
+    assert shift == 0.0 and math.copysign(1.0, shift) == -1.0
+    assert '"frequency_shift": -0.0' in out
+
+
+def test_energy_a_hair_from_contact_reports_its_quadrature_miss(capsys):
+    """At alpha = 1 + 1e-7 the Bessel kernel covers every abscissa the
+    sum asks for; the sum misses its tolerance, exits 3 as unconverged,
+    and still lands near the proximity energy."""
+    code, payload = run_json(capsys, "energy", "--alpha", "1.0000001")
+    assert code == 3
+    assert payload["error"] == "energy mode sum did not converge"
+    assert payload["converged"] is False
+    assert payload["interaction_energy"] == pytest.approx(
+        proximity_energy(1.0000001, 0.5), rel=1e-9)
 
 
 def test_energy_per_order_breakdown(capsys):

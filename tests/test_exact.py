@@ -104,7 +104,8 @@ def test_pressure_matches_oracle(ratio, expected, rel):
 
 @pytest.mark.parametrize("key", sorted(LOG_MODE_DALPHA))
 def test_log_mode_factor_dalpha_matches_oracle(key):
-    """Both Bessel regimes: orders up to 40 via SciPy, above via Debye."""
+    """Both Bessel regimes: the small-order kernel up to order 40, Debye
+    above."""
     n, y, ratio = key
     assert log_mode_factor_dalpha(n, y, ratio) == pytest.approx(
         LOG_MODE_DALPHA[key], rel=1e-10

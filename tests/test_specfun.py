@@ -8,20 +8,26 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
+import oracles
 from coaxcasimir import specfun
 from coaxcasimir.specfun import (
-    _SCIPY_ORDER_MAX,
+    _K0_CHEBYSHEV,
+    _K1_CHEBYSHEV,
     _SERIES_BASIS,
+    _SMALL_ORDER_MAX,
     _debye_polynomials,
+    _k_pair_and_ratio,
     _log_ik_debye,
     _log_ik_scipy,
     _pair_logs,
-    _scaled_k_upward,
+    _ratio_rows,
+    _scaled_k01,
     reflection_ratio_logs,
     reflection_ratio_logs_dalpha,
     scaled_modified_bessel,
@@ -71,7 +77,7 @@ DEBYE_EXTREME_LOGS = {
         -2.386910060207966516788,
     ),
 }
-# oracle pins: (log i, log k, log i', log |k'|) at the SciPy regime's
+# oracle pins: (log i, log k, log i', log |k'|) at the small-order regime's
 # highest order, where the K recurrence runs longest
 SCIPY_TOP_ORDER_LOGS = {
     (40, 0.01): (
@@ -94,8 +100,7 @@ SCIPY_TOP_ORDER_LOGS = {
     ),
 }
 # oracle pins: the same logs at small arguments and orders 28-40, where
-# ``ive`` errs most (up to 8e-14 relative in i) and I_n now comes from
-# the Wronskian
+# I_n comes from the Wronskian and its ratio r_n runs longest
 SCIPY_SMALL_ARGUMENT_LOGS = {
     (28, 0.04): (
         -177.4663734960693465928,
@@ -306,50 +311,109 @@ def test_scipy_regime_small_argument_logs_match_oracle(n, x):
         assert value == pytest.approx(expected, rel=5e-14)
 
 
-def test_i_from_wronskian_matches_scipy_ive():
-    """i_n and i_n' from one ``ive`` order against AMOS ``ive`` at both."""
-    x = np.geomspace(1e-2, 400.0, 200)
-    for n in range(_SCIPY_ORDER_MAX + 1):
-        log_i, _, log_iprime, _ = _log_ik_scipy(order_like(n, x), x)
-        i_n = special.ive(n, x)
-        np.testing.assert_allclose(np.exp(log_i), i_n, rtol=1e-13)
-        np.testing.assert_allclose(np.exp(log_iprime),
-                                   special.ive(n + 1, x) + (n / x) * i_n,
-                                   rtol=1e-13)
+def test_k01_matches_mpmath():
+    """k_0 and k_1 against 40-digit mpmath from 1e-300 to 1e4, densely
+    on both sides of x = 2, where the power series meets the Chebyshev
+    series."""
+    x = np.concatenate((np.geomspace(1e-300, 1e4, 150),
+                        np.linspace(1.5, 2.5, 101),
+                        np.nextafter(2.0, [0.0, 4.0])))
+    k = _scaled_k01(x)
+    with mp.workdps(40):
+        for j, point in enumerate(x.tolist()):
+            scale = mp.exp(point)
+            for order in (0, 1):
+                want = mp.besselk(order, point) * scale
+                assert abs(float(k[order, j] / want - 1)) < 2e-15, (
+                    order, point)
+
+
+def test_k01_chebyshev_literals_regenerate():
+    """The committed Chebyshev coefficients are the oracle's, bit for
+    bit."""
+    assert _K0_CHEBYSHEV == oracles.scaled_k01_chebyshev(0)
+    assert _K1_CHEBYSHEV == oracles.scaled_k01_chebyshev(1)
+
+
+def test_i_from_wronskian_matches_mpmath():
+    """i_n and i_n' from the Wronskian and the ratio r_n against 40-digit
+    mpmath, at every order of the small-order kernel."""
+    x = np.geomspace(1e-2, 400.0, 12)
+    with mp.workdps(40):
+        for n in range(_SMALL_ORDER_MAX + 1):
+            log_i, _, log_iprime, _ = _log_ik_scipy(order_like(n, x), x)
+            scale = [mp.exp(-point) for point in x.tolist()]
+            np.testing.assert_allclose(np.exp(log_i), [
+                float(e * mp.besseli(n, point))
+                for e, point in zip(scale, x.tolist())], rtol=1e-13)
+            np.testing.assert_allclose(np.exp(log_iprime), [
+                float(e * oracles.besseli_prime(n, point))
+                for e, point in zip(scale, x.tolist())], rtol=1e-13)
+
+
+def test_small_order_logs_match_mpmath_at_random_points():
+    """At 300 random points, orders 0-40 and x from 1e-2 to 400, each of
+    the four logs is within 3e-15 max(1, |log|) of 40-digit mpmath.  Ten
+    orders share each of 30 abscissae, so mpmath's K_n come from its K_0
+    and K_1 by the upward recurrence, which is stable."""
+    rng = np.random.default_rng(300)
+    abscissae = np.exp(rng.uniform(math.log(1e-2), math.log(400.0), 30))
+    x = np.repeat(abscissae, 10)
+    n = rng.integers(0, _SMALL_ORDER_MAX + 1, x.size)
+    got = np.array(_log_ik_scipy(n, x))
+    with mp.workdps(40):
+        for j, point in enumerate(x.tolist()):
+            if j % 10 == 0:
+                k = [mp.besselk(0, point), mp.besselk(1, point)]
+                for order in range(1, _SMALL_ORDER_MAX + 1):
+                    k.append(k[order - 1] + 2 * order / mp.mpf(point)
+                             * k[order])
+            order = int(n[j])
+            i_n, i_up = mp.besseli(order, point), mp.besseli(order + 1, point)
+            ratio = order / mp.mpf(point)
+            want = (mp.log(i_n) - point, mp.log(k[order]) + point,
+                    mp.log(i_up + ratio * i_n) - point,
+                    mp.log(k[abs(order - 1)] + ratio * k[order]) + point)
+            for value, expected in zip(got[:, j], want):
+                assert abs(value - float(expected)) <= 3e-15 * max(
+                    1.0, abs(float(expected))), (order, point)
 
 
 def test_k_recurrence_matches_scipy_kve():
-    """The upward recurrence from k0e/k1e against AMOS kve, both orders."""
+    """The upward recurrence from k_0 and k_1 against AMOS kve, both
+    orders."""
     x = np.geomspace(1e-2, 1e3, 200)
-    for n in range(_SCIPY_ORDER_MAX + 1):
-        k_below, k_n = _scaled_k_upward(order_like(n, x), x)
+    for n in range(_SMALL_ORDER_MAX + 1):
+        k_below, k_n, _ = _k_pair_and_ratio(order_like(n, x), x)
         np.testing.assert_allclose(k_below, special.kve(abs(n - 1), x),
                                    rtol=1e-13)
         np.testing.assert_allclose(k_n, special.kve(n, x), rtol=1e-13)
 
 
 def _scaled_k_table(n, x):
-    """The K recurrence as a table of every row up to the highest order,
-    each point picking its pair by a flat-index gather."""
+    """The K recurrence and the ratio rows as tables of every row up to
+    the highest order, each point picking its values by a flat-index
+    gather."""
     top = max(int(n.max()), 1)
     k = np.empty((top + 1,) + x.shape)
-    k[0] = special.k0e(x)
-    k[1] = special.k1e(x)
+    k[:2] = _scaled_k01(x)
     with np.errstate(over="ignore"):
         for j in range(1, top):
             k[j + 1] = k[j - 1] + (2.0 * j / x) * k[j]
     point = np.arange(x.size).reshape(x.shape)
     k = k.reshape(-1)
-    return k[np.abs(n - 1) * x.size + point], k[n * x.size + point]
+    ratio = _ratio_rows(top, 0, x).reshape(-1)
+    return (k[np.abs(n - 1) * x.size + point], k[n * x.size + point],
+            ratio[n * x.size + point])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 17, 40])
 @pytest.mark.parametrize("shape", [(300,), (2, 150)], ids=["flat", "2xM"])
 def test_one_order_k_recurrence_equals_the_table(n, shape):
-    """At one order the recurrence keeps its last two rows only; both K
-    values are, bit for bit, those the table gives."""
+    """At one order the recurrences keep the rows they need only; both K
+    values and the ratio are, bit for bit, those the tables give."""
     x = np.geomspace(1e-2, 1e3, 300).reshape(shape)
-    for got, want in zip(_scaled_k_upward(order_like(n, x), x),
+    for got, want in zip(_k_pair_and_ratio(order_like(n, x), x),
                          _scaled_k_table(order_like(n, x), x)):
         assert got.shape == shape
         assert np.array_equal(got, want)
@@ -359,7 +423,7 @@ def test_one_order_k_overflow_stays_a_silent_inf():
     x = np.array([1e-8, 1e-3, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _scaled_k_upward(order_like(40, x), x)
+        got = _k_pair_and_ratio(order_like(40, x), x)
     want = _scaled_k_table(order_like(40, x), x)
     assert np.isinf(got[1][0]) and np.isfinite(got[1][1:]).all()
     for value, table in zip(got, want):
@@ -381,14 +445,14 @@ def _repeated_abscissae():
 
 
 def test_several_order_k_recurrence_on_repeated_abscissae_equals_the_table():
-    """Run once per distinct abscissa, the recurrence gives each point,
-    bit for bit, the pair the table over every point gives it; an
+    """Run once per distinct abscissa, the recurrences give each point,
+    bit for bit, the values the tables over every point give it; an
     order-40 overflow stays a silent ``inf``."""
     n, x = _repeated_abscissae()
     assert np.unique(x).size < x.size // 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _scaled_k_upward(n, x)
+        got = _k_pair_and_ratio(n, x)
     want = _scaled_k_table(n, x)
     assert np.isinf(got[1][:, 0]).all() and np.isfinite(got[1][:, 1]).all()
     for value, table in zip(got, want):
@@ -398,22 +462,23 @@ def test_several_order_k_recurrence_on_repeated_abscissae_equals_the_table():
 
 def test_several_order_k_recurrence_starts_from_distinct_abscissae(
         monkeypatch):
-    """``k0e`` and ``k1e`` each see every distinct abscissa once."""
+    """``_scaled_k01`` and the ratio's seed each see every distinct
+    abscissa once."""
     n, x = _repeated_abscissae()
     seen = []
 
     def recording(name):
-        kernel = getattr(special, name)
+        kernel = getattr(specfun, name)
 
-        def record(z):
-            seen.append((name, np.array(z)))
-            return kernel(z)
+        def record(*args):
+            seen.append((name, np.array(args[-1])))
+            return kernel(*args)
         return record
 
-    for name in ("k0e", "k1e"):
-        monkeypatch.setattr(specfun._sp, name, recording(name))
-    _scaled_k_upward(n, x)
-    assert [name for name, _ in seen] == ["k0e", "k1e"]
+    for name in ("_scaled_k01", "_debye_ratio"):
+        monkeypatch.setattr(specfun, name, recording(name))
+    _k_pair_and_ratio(n, x)
+    assert sorted(name for name, _ in seen) == ["_debye_ratio", "_scaled_k01"]
     for _, z in seen:
         assert np.array_equal(np.sort(z, axis=None), np.unique(x))
 
@@ -433,24 +498,25 @@ def test_k_overflow_raises_without_warning():
 
 
 def test_order_40_overflow_edge_raises_without_warning():
-    """At order 40 the kernel's range ends at x = 1.2145e-6 (i_41
-    underflows): it raises just below the edge, silently, and gives
-    finite logs just above it."""
+    """At order 40 the kernel's range ends at x = 8.787e-7, where k_41
+    overflows (about Gamma(41)/2 (2/x)^41): it raises just below the
+    edge, silently, and gives finite logs just above it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="order 40"):
-            _log_ik_scipy(np.array([40]), np.array([1.2e-6]))
-        logs = _log_ik_scipy(np.array([40]), np.array([1.22e-6]))
+            _log_ik_scipy(np.array([40]), np.array([8.78e-7]))
+        logs = _log_ik_scipy(np.array([40]), np.array([8.8e-7]))
     assert all(np.isfinite(log_value).all() for log_value in logs)
 
 
-def test_ive_nan_is_named_not_read_as_overflow():
-    """SciPy's ive returns NaN above an argument of about 1.07e9 while
-    k0e and k1e stay finite; the error names ive and the argument."""
-    assert math.isnan(special.ive(1, 1.1e9))
-    with pytest.raises(FloatingPointError,
-                       match=r"scipy\.special\.ive .* 1100000000\.0"):
-        _log_ik_scipy(np.array([0]), np.array([1.1e9]))
+def test_large_argument_logs_match_mpmath():
+    """Far past any order, at x = 1.1e9, the four logs stay finite and
+    match mpmath."""
+    logs = _log_ik_scipy(np.array([0]), np.array([1.1e9]))
+    with mp.workdps(40):
+        want = oracles.log_pair(0, 1.1e9)
+    for value, expected in zip(logs, want):
+        assert value[0] == pytest.approx(float(expected), rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -615,8 +681,8 @@ BLOCK_ARGS = np.geomspace(0.5, 900.0, BLOCK_ACROSS_ORDERS.size)
 @pytest.mark.parametrize("kernel", [_log_ik_scipy, _log_ik_debye, _pair_logs])
 def test_order_array_kernels_equal_one_order_calls(kernel):
     """An order per point gives, bit for bit, each order's own call, near
-    the seam and in 64-order blocks across it and (outside the SciPy
-    kernel's range, where it overflows) far above it."""
+    the seam and in 64-order blocks across it and (outside the
+    small-order kernel's range, where it overflows) far above it."""
     cases = [(SEAM_ORDERS, SEAM_ARGS), (BLOCK_ACROSS_ORDERS, BLOCK_ARGS)]
     if kernel is not _log_ik_scipy:
         cases.append((BLOCK_DEEP_ORDERS, BLOCK_ARGS))
