@@ -430,6 +430,40 @@ def test_near_contact_sum_counts_only_the_orders_it_uses():
     assert result.evaluations == 60_840
 
 
+def test_double_route_work_at_two():
+    """The double route's inner integrals in u = sqrt(s) have a smooth
+    endpoint; in s its square root cost 369,165 evaluations here."""
+    result = interaction_energy_double_integral(2.0)
+    assert result.converged
+    assert result.order_max == 14
+    assert result.evaluations == 114_855
+
+
+def test_double_route_inner_integral_in_u_equals_integral_in_s(monkeypatch):
+    """The route's inner integral, taken in u with s = u**2, is the
+    integral over s = y - k of sqrt(s (s + 2 k)) d ln M_n / dy."""
+    ratio = 2.0
+    ks = np.array([0.01, 1.0])
+    inner = []
+
+    def outer_at_ks(outer, spec, tail_cut):
+        inner.append(outer(ks))
+        return QuadratureResult(1.0, 0.0, 0, True)
+
+    monkeypatch.setattr(exact, "_HEAD", 5)
+    monkeypatch.setattr(exact, "integrate_semi_infinite", outer_at_ks)
+    interaction_energy_double_integral(ratio)
+    assert len(inner) == 6
+    for n in (0, 5):
+        for k, in_u in zip(ks, inner[n]):
+            in_s = integrate_semi_infinite(
+                lambda s: np.sqrt(s * (s + 2.0 * k))
+                * exact._mode_factor_dy(n, k + s, ratio),
+                QuadratureSpec(rel_tol=1e-10), tail_cut=1.0 / (ratio - 1.0))
+            assert in_s.converged
+            assert in_u == pytest.approx(in_s.value, rel=1e-8)
+
+
 # The order-by-order sums before the tail existed (commit 76b64f1), at
 # tight numerics, which took up to 15,518 orders: (value, error) by ratio.
 #   git checkout 76b64f1 && PYTHONPATH=src python -c "from coaxcasimir

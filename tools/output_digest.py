@@ -3,7 +3,10 @@
 Run it in each checkout and diff what it prints; a refactor that keeps
 every output's bits prints the same lines::
 
-    PYTHONPATH=src python3 tools/output_digest.py > digest.txt
+    python3 tools/output_digest.py > digest.txt
+
+It imports the package from the ``src/`` of the checkout it sits in,
+whatever the working directory or ``PYTHONPATH``.
 
 The outputs are the ``repr`` of the exact energy and pressure at a range
 of radius ratios, from near contact to far apart, and of the
@@ -16,9 +19,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import sys
+from pathlib import Path
 
-from coaxcasimir import cli
-from coaxcasimir.exact import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from coaxcasimir import cli  # noqa: E402
+from coaxcasimir.exact import (  # noqa: E402
     interaction_energy,
     interaction_energy_double_integral,
     pressure_inner,
