@@ -69,9 +69,9 @@ orders for every sum still running, and a sum that has stopped drops out
 of later blocks.  In a round that holds both of the pressure's sums,
 their integrand hands the Bessel kernel each distinct (order, y) pair
 once, then applies the energy formula to the energy sum's abscissae and
-the e' formula to those of the e' sum; a round that holds one sum (every
-round after the other sum has stopped) evaluates that sum's formula
-alone, and the energy's takes no alpha-derivative logs.  Every
+the e' formula to those of the e' sum; a round that holds the e' sum
+alone (every round after the energy sum has stopped) evaluates the e'
+formula alone.  Every
 order of every sum keeps its own adaptive panels and every kernel is
 elementwise, so each per-order integral, and each sum, is bit for bit
 what that sum alone, one order at a time, gives.  Within each
@@ -81,6 +81,19 @@ same bits, and a segment started past the march's stop counts in no
 field.  The stopping rule reads each sum's orders one by one; the
 orders of its last block past its stopping order are discarded and
 count in no field of its result.
+
+The head's radial integrals run over u, with y = (alpha - 1) u**2
+(:func:`_in_u`).  At n = 0 the mode factor has a log endpoint,
+ln(1 - e^{D_0}) ~ ln(ln alpha / ln(1/y)) as y -> 0 (DLMF 10.31.2), and
+in y the Gauss-Kronrod estimate of the panel at y = 0 shrank only
+slowly as the panel did, so the n = 0 integrals spent round after round
+bisecting toward y = 0 while every other order had finished.  In u the
+integrand carries the factor 2 (alpha - 1) u and vanishes like
+u**3 ln ln(1/u) at 0, and the panels finish together.  u in
+[0, 1/(alpha - 1)] maps onto y in [0, 1/(alpha - 1)], so the leading
+width is the decay scale in either variable.  Every head order takes
+u, not n = 0 alone: one integrand for the whole block needs no order
+mask, and it took fewer rounds.
 
 A sum needs about 10/(alpha - 1) orders, so below alpha of about 1.097
 one may still run after order N = 144.  Its orders past N then come as one
@@ -92,7 +105,10 @@ The end terms take backward differences of F at N from the head's own
 F(N - 5) to F(N), so they cost no extra integral; the first term
 dropped is the tail's truncation error.  The nu-integral is one outer
 semi-infinite quadrature per sum, all of them in one lockstep, whose
-batched integrand is a batch of radial integrals, one per nu node; an
+batched integrand is a batch of radial integrals, one per nu node.
+These radial integrals stay in y: past order 144 the integrand peaks
+away from y = 0, and in u they took more evaluations (59,535 against
+57,210 for the energy at alpha = 1.01).  An
 outer segment started past its march's stop counts in no field, its
 radial integrals included.  A sum that stops by order 144 has no tail
 and keeps every bit it had before the tail existed.
@@ -429,7 +445,10 @@ def interaction_energy(ratio: float,
 
     Evaluates ``sum_n integral_0^inf y ln M_n(y, alpha) dy / (4 pi)`` with
     the semi-infinite quadrature's leading panel width set to the decay
-    scale ``1/(alpha - 1)``.  The result is negative (attraction) and, in
+    scale ``1/(alpha - 1)``; the radial integrals of orders 0 to 144 run
+    over u, with y = (alpha - 1) u**2 (:func:`_in_u`), whose smooth
+    endpoint spares the n = 0 integral's bisections toward y = 0, and
+    those of the tail over y.  The result is negative (attraction) and, in
     units of hbar c L / a^2, typically O(0.1) at alpha = 2 and grows like
     ``-(alpha - 1)^{-3}`` toward touching cylinders.
 
@@ -447,11 +466,28 @@ def interaction_energy(ratio: float,
     ratio = _validate_ratio(ratio)
     energy = _OrderSum(cfg)
     # n = 0 stays its own integral of log_mode_factor only because
-    # perfbench/tracer.py wraps both names and expects them reached here.
+    # perfbench/tracer.py wraps both names and expects them reached here;
+    # it takes u through _in_u, as the blocks do, so that the pressure's
+    # energy_result equals this result field for field.
     energy.add(integrate_semi_infinite(
-        lambda y: y * log_mode_factor(0, y, ratio), cfg.quad,
+        _in_u(lambda y: y * log_mode_factor(0, y, ratio), ratio), cfg.quad,
         tail_cut=1.0 / (ratio - 1.0)).scaled(_INV_4PI))
     return _mode_sums(_energy_integrand(ratio), [energy], ratio, cfg)[0]
+
+
+def _in_u(f, ratio: float):
+    """The integrand ``f(y, *args)`` of a head radial integral over y,
+    as one over u with y = (alpha - 1) u**2: ``f(y, *args) 2 (alpha - 1)
+    u``.  u in [0, 1/(alpha - 1)] maps onto y in [0, 1/(alpha - 1)], so
+    the leading width stays the decay scale.  The one wrapper of every
+    head integral, the blocks' and the lone n = 0 energy integral's, so
+    that each order's integral has the same bits in both."""
+    gap = ratio - 1.0
+
+    def in_u(u, *args):
+        return f(gap * u * u, *args) * (2.0 * gap * u)
+
+    return in_u
 
 
 def _energy_integrand(ratio: float):
@@ -470,7 +506,9 @@ def _mode_sums(integrand, sums: list, ratio: float,
     ``y[j]``, the integrand of sum ``sums[j]`` at order ``n[j]``, integer
     orders in the head and real ones past it.  The leading panel width is
     the decay scale ``1/(alpha - 1)``; ``ratio`` must already be
-    validated.
+    validated.  The head's integrals run over u through :func:`_in_u`,
+    with the same width, and the tail's over y (the module docstring
+    says why).
 
     The schedule: the orders up to ``_HEAD`` go in blocks, one batched
     quadrature call per block over its orders for every sum still
@@ -494,7 +532,8 @@ def _mode_sums(integrand, sums: list, ratio: float,
         order_of = np.tile(orders, len(live))
         sum_of = np.repeat(live, width)
         parts = integrate_semi_infinite_batch(
-            lambda y, which: integrand(y, order_of[which], sum_of[which]),
+            _in_u(lambda y, which: integrand(y, order_of[which],
+                                             sum_of[which]), ratio),
             len(order_of), cfg.quad, tail_cut=tail_cut)
         running = []
         for k, s in enumerate(live):
@@ -567,23 +606,17 @@ def _pressure_integrand(ratio: float):
 
     Sum 0 takes ``y ln M_n`` and sum 1 ``y d ln M_n / d alpha``, both
     through the kernels without their public checks, so that the tail's
-    real orders pass too.  A call whose points all belong to one sum
-    evaluates that sum's formula alone: the energy's from the log-ratios
-    (:func:`_energy_integrand`), the e' sum's from the log-ratios and
-    their alpha-derivatives; such a call comes once the other sum has
-    stopped.  In a call that holds both sums (the block schedule is
-    :func:`_mode_sums`'s) their abscissae often coincide, so the distinct
-    (order, y) pairs go to the Bessel kernels once, for the log-ratios
-    and their derivatives, and each formula then reads its own sum's
-    points.  Every step is
-    elementwise, so each point's value is what the sum's own integrand
-    gives it.
+    real orders pass too.  A call whose points all belong to the e' sum,
+    which comes once the energy sum has stopped, evaluates the e'
+    formula alone.  In any other call (the block schedule is
+    :func:`_mode_sums`'s) the two sums' abscissae often coincide, so the
+    distinct (order, y) pairs go to the Bessel kernels once, for the
+    log-ratios and their derivatives, and each formula then reads its
+    own sum's points.  Every step is elementwise, so each point's value
+    is what the sum's own integrand gives it: an energy point's is
+    :func:`_energy_integrand`'s.
     """
-    energy_integrand = _energy_integrand(ratio)
-
     def integrand(y, n, sums):
-        if not sums.any():
-            return energy_integrand(y, n, sums)
         if sums.all():
             return y * _dalpha_factor(*_ratio_logs_dalpha(n, y, ratio))
         by_pair = np.lexsort((y, n))
@@ -729,7 +762,7 @@ def pressure_inner(ratio: float,
     quadrature and stopping rule.  The two run as one, two new sums of
     :func:`_mode_sums`, and share each block's lockstep rounds and each
     round's Bessel kernel call, which sees every distinct (order, y) pair
-    once (a round of one sum computes only what that sum uses,
+    once (a round of the e' sum alone computes only what that sum uses,
     :func:`_pressure_integrand`).  The values are still, bit for bit,
     those of each sum alone: ``energy_result`` equals
     :func:`interaction_energy` at the same ratio and numerics.  ``error``

@@ -114,9 +114,10 @@ __all__ = [
 
 # Largest order of the small-order kernel, :func:`_log_ik_scipy`.  Above
 # it the uniform asymptotic expansion is both safe (no under/overflow for
-# any x) and accurate.  Below it the kernel raises OverflowError where a
-# value leaves the double range: at order 40 that happens for x below
-# about 8.8e-7, where k_41 overflows, and lower orders reach smaller x.
+# any x) and accurate.  Below it the K recurrence in values leaves the
+# double range at small x (at order 40 below x of about 8.8e-7, where
+# k_41 overflows; lower orders reach smaller x), and there the kernel
+# carries K as ratios in log space instead (:func:`_log_ik_ratios`).
 _SMALL_ORDER_MAX = 40
 
 # Euler's constant to 40 digits, as an exact rational for the K series.
@@ -585,24 +586,63 @@ def _log_ik_scipy(n, x: np.ndarray):
         i_n = \frac{1}{x\,(k_{n+1} + r_n k_n)}, \qquad
         i_n' = i_n\,(r_n + n/x),
 
-    sums of positive terms, so nothing cancels.  A value that leaves the
-    double range raises ``OverflowError`` without a warning.
+    sums of positive terms, so nothing cancels.  At the points where K or
+    i leaves the double range (x small against the order) the logs come
+    from :func:`_log_ik_ratios` instead; where even that fails, below x
+    of about 5.6e-309, the kernel raises ``OverflowError``.  Neither
+    warns.
     """
     k_below, k_n, ratio = _k_pair_and_ratio(n, x)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n_over_x = n / x
         k_above = k_below + (2.0 * n / x) * k_n
         i_n = 1.0 / (x * (k_above + ratio * k_n))
         # |k_n'| <= k_{n+1}, so it is finite when k_{n+1} is
         kprime = k_below + n_over_x * k_n
-    bad = ~np.isfinite(k_above) | ~(i_n > 0.0)
-    if bad.any():
-        raise OverflowError(
-            "scaled Bessel pair left the double range at order "
-            f"{n[bad].max()}"
-        )
-    return (np.log(i_n), np.log(k_n),
-            np.log(i_n * (ratio + n_over_x)), np.log(kprime))
+        logs = (np.log(i_n), np.log(k_n),
+                np.log(i_n * (ratio + n_over_x)), np.log(kprime))
+        bad = ~np.isfinite(k_above) | ~(i_n > 0.0)
+        if bad.any():
+            for log_value, fixed in zip(
+                    logs, _log_ik_ratios(n[bad], x[bad], ratio[bad])):
+                log_value[bad] = fixed
+            bad = ~np.isfinite(logs).all(axis=0)
+            if bad.any():
+                raise OverflowError(
+                    "scaled Bessel pair left the double range at order "
+                    f"{n[bad].max()}"
+                )
+    return logs
+
+
+def _log_ik_ratios(n, x: np.ndarray, ratio: np.ndarray):
+    r"""The four logs of :func:`_log_ik_scipy` with K kept in log space.
+
+    The K recurrence runs on the ratios :math:`q_j = k_{j+1}/k_j =
+    1/q_{j-1} + 2j/x` from :math:`q_0 = k_1/k_0`, and
+    :math:`\ln k_n = \ln k_0 + \sum_{j<n} \ln q_j`, so no value leaves
+    the double range where :math:`k_0, k_1` do not.  With the ratio
+    :math:`r_n` the kernel's formulas read
+    :math:`\ln i_n = -\ln x - \ln k_n - \ln(q_n + r_n)` and
+    :math:`\ln |k_n'| = \ln k_n + \ln(k_{|n-1|}/k_n + n/x)`.  Only the
+    points the recurrence in values takes past the double range come
+    here, so every other point keeps that recurrence's bits.
+    """
+    k0, k1 = _scaled_k01(x)
+    q = k1 / k0
+    log_k = np.log(k0)
+    # each point's q_n and k_{|n-1|}/k_n; both are q_0 at n = 0
+    own, below = q.copy(), q.copy()
+    for j in range(1, int(n.max()) + 1):
+        log_k += np.where(n >= j, np.log(q), 0.0)
+        at = n == j
+        below[at] = 1.0 / q[at]
+        q = 1.0 / q + (2.0 * j) / x
+        own[at] = q[at]
+    n_over_x = n / x
+    log_i = -np.log(x) - log_k - np.log(own + ratio)
+    return (log_i, log_k, log_i + np.log(ratio + n_over_x),
+            log_k + np.log(below + n_over_x))
 
 
 def _pair_logs(n, x: np.ndarray):

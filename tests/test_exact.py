@@ -268,7 +268,7 @@ def test_si_conversions_scale_correctly():
     (log_mode_factor_dalpha, lambda r: pressure_inner(r).derivative_result),
 ])
 def test_order_blocks_equal_one_order_integrals(factor, mode_sum):
-    """Each order of a block is, bit for bit, its own integral.
+    """Each order of a block is, bit for bit, its own integral in u.
 
     n = 144 at alpha = 1.01 is the last order summed one by one before
     the sum's tail.
@@ -278,8 +278,8 @@ def test_order_blocks_equal_one_order_integrals(factor, mode_sum):
         tail_cut = 1.0 / (ratio - 1.0)
         for n in orders:
             alone = integrate_semi_infinite(
-                lambda y: y * factor(n, y, ratio), DEFAULT_NUMERICS.quad,
-                tail_cut=tail_cut)
+                exact._in_u(lambda y: y * factor(n, y, ratio), ratio),
+                DEFAULT_NUMERICS.quad, tail_cut=tail_cut)
             weight = 1.0 if n == 0 else 2.0
             assert per_order[n] == weight * (alone.value
                                              * (1.0 / (4.0 * math.pi)))
@@ -422,12 +422,57 @@ def test_energy_makes_one_single_integral(monkeypatch):
 
 
 def test_near_contact_sum_counts_only_the_orders_it_uses():
-    """Orders 0-144 one by one, then the tail's radial integrals."""
+    """Orders 0-144 one by one, then the tail's radial integrals.  With
+    the head's radial integrals in y this was 60,840."""
     result = interaction_energy(1.01)
     assert result.order_max == 144
     assert [n for n, _ in result.per_order] == list(range(145))
     assert result.tail is not None
-    assert result.evaluations == 60_840
+    assert result.evaluations == 57_210
+
+
+def test_pressure_rounds_at_two(monkeypatch):
+    """The pressure's two sums at alpha = 2 take 10 lockstep rounds, one
+    integrand call each.  In y, the energy's n = 0 integral bisected
+    toward y = 0 for 7 more rounds."""
+    rounds = []
+    make = exact._pressure_integrand
+
+    def counting(ratio):
+        integrand = make(ratio)
+
+        def count(y, n, sums):
+            rounds.append(len(y))
+            return integrand(y, n, sums)
+        return count
+
+    monkeypatch.setattr(exact, "_pressure_integrand", counting)
+    assert pressure_inner(2.0).converged
+    assert len(rounds) == 10
+
+
+@pytest.mark.parametrize("ratio", [1.1, 2.0])
+def test_head_integral_in_u_equals_integral_in_y(ratio):
+    """The head's radial integrals, which the sums take in u with
+    y = (alpha - 1) u**2, are the integrals over y of y ln M_n and
+    y d ln M_n / d alpha, at orders on both sides of the kernels' seam.
+    A tiny ``order_tol`` keeps the sums running past order 41 at 2."""
+    cfg = NumericsConfig(order_tol=1e-30)
+    pressure = pressure_inner(ratio, cfg)
+    sums = ((log_mode_factor, pressure.energy_result),
+            (log_mode_factor_dalpha, pressure.derivative_result))
+    for factor, one_sum in sums:
+        per_order = dict(one_sum.per_order)
+        for n in (0, 1, 40, 41):
+            weight = 1.0 if n == 0 else 2.0
+            in_u = per_order[n] / weight * (4.0 * math.pi)
+            in_y = integrate_semi_infinite(
+                lambda y: y * factor(n, y, ratio),
+                QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300),
+                tail_cut=1.0 / (ratio - 1.0))
+            assert in_y.converged
+            # no abs: at alpha = 2 the order-40 integrals are about 1e-22
+            assert in_u == pytest.approx(in_y.value, rel=1e-9, abs=0.0)
 
 
 def test_double_route_work_at_two():
@@ -490,6 +535,19 @@ def test_tail_error_covers_the_tight_order_by_order_sum(ratio):
     assert result.converged
     assert result.tail is not None
     assert abs(result.value - pin) <= result.error + pin_error
+
+
+@pytest.mark.parametrize("ratio", [1e10, 1e14])
+def test_far_apart_energy_matches_tight_numerics(ratio):
+    """Far apart the whole energy lies far below the default abs_tol of
+    1e-14, so each radial integral stops at its first panels.  In u
+    their endpoint at y = 0 is smooth, and the energy still comes within
+    1e-8 of a tight run; in y it came 1.5e-5 from it."""
+    tight = NumericsConfig(quad=QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
+    result, reference = interaction_energy(ratio), interaction_energy(
+        ratio, tight)
+    assert result.converged and reference.converged
+    assert result.value == pytest.approx(reference.value, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("ratio", sorted(TIGHT_PRESSURE))
@@ -574,8 +632,8 @@ def test_pressure_sums_are_one_order_integrals_at_every_order(ratio):
         total, streak, fired = 0.0, 0, []
         for n, contribution in one_sum.per_order:
             alone = integrate_semi_infinite(
-                lambda y: y * factor(n, y, ratio), DEFAULT_NUMERICS.quad,
-                tail_cut=tail_cut)
+                exact._in_u(lambda y: y * factor(n, y, ratio), ratio),
+                DEFAULT_NUMERICS.quad, tail_cut=tail_cut)
             weight = 1.0 if n == 0 else 2.0
             assert contribution == weight * (alone.value
                                              * (1.0 / (4.0 * math.pi)))
@@ -592,8 +650,8 @@ def test_pressure_sums_are_one_order_integrals_at_every_order(ratio):
 
 def _recording_kernel(monkeypatch):
     """Record the (orders, abscissae) each call of the pressure's kernels
-    receives: ``_ratio_logs_dalpha``, and ``_ratio_logs`` for the calls
-    that hold energy points only."""
+    receives: ``_ratio_logs_dalpha``, and ``_ratio_logs``, which the
+    pressure should not call."""
     seen = []
 
     def recording(kernel):
@@ -636,9 +694,10 @@ _ONE_SUM_ORDERS = {
 @pytest.mark.parametrize("one_sum", [0, 1], ids=["energy", "dalpha"])
 def test_one_sum_pressure_call_equals_its_points_in_a_two_sum_call(
         orders, one_sum):
-    """A call whose points all belong to one sum skips the dedupe and the
-    other sum's formula; each value is, bit for bit, what the same point
-    gets inside a call that holds both sums, sharing some abscissae."""
+    """A call whose points all belong to one sum gives each point, bit for
+    bit, what the same point gets inside a call that holds both sums,
+    sharing some abscissae; an e'-only call skips the dedupe and the
+    energy's formula."""
     integrand = exact._pressure_integrand(1.3)
     rng = np.random.default_rng(orders.size)
     y = rng.permutation(np.geomspace(1e-2, 40.0, orders.size))
@@ -652,32 +711,20 @@ def test_one_sum_pressure_call_equals_its_points_in_a_two_sum_call(
     assert np.array_equal(alone, both[:y.size])
 
 
-def test_pressure_energy_only_calls_take_no_alpha_derivative_logs(
-        monkeypatch):
-    """At alpha = 2 no pressure integrand call whose points all belong
-    to the energy sum reaches ``_ratio_logs_dalpha``; a call holding e'
-    points reaches it once."""
-    calls = []
-    kernel, make = exact._ratio_logs_dalpha, exact._pressure_integrand
-
-    def recording_kernel(n, y, ratio):
-        calls[-1][1] += 1
-        return kernel(n, y, ratio)
-
-    def recording_integrand(ratio):
-        integrand = make(ratio)
-
-        def record(y, n, sums):
-            calls.append([not sums.any(), 0])
-            return integrand(y, n, sums)
-        return record
-
-    monkeypatch.setattr(exact, "_ratio_logs_dalpha", recording_kernel)
-    monkeypatch.setattr(exact, "_pressure_integrand", recording_integrand)
-    pressure_inner(2.0)
-    energy_only = [reached for only, reached in calls if only]
-    assert energy_only and not any(energy_only)
-    assert all(reached == 1 for only, reached in calls if not only)
+def test_pressure_energy_only_call_equals_the_energy_integrand():
+    """A pressure integrand call whose points all belong to the energy
+    sum, which the head in u no longer makes at alpha from 1.1 to 10,
+    gives, bit for bit, the energy sum's own integrand, though it takes
+    the alpha-derivative logs too."""
+    pressure, energy = (exact._pressure_integrand(1.3),
+                        exact._energy_integrand(1.3))
+    rng = np.random.default_rng(26)
+    for orders in _ONE_SUM_ORDERS.values():
+        y = rng.permutation(np.geomspace(1e-2, 40.0, orders.size))
+        y[:10] = y[10:20]
+        sums = np.zeros(y.size, dtype=int)
+        assert np.array_equal(pressure(y, orders, sums),
+                              energy(y, orders, sums))
 
 
 def test_energy_result_reports_capped_order_sum(monkeypatch):

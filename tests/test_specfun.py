@@ -484,12 +484,13 @@ def test_several_order_k_recurrence_starts_from_distinct_abscissae(
 
 
 def test_k_overflow_raises_without_warning():
-    """A K past the double range raises; a block's recurrence that
-    overflows above a point's own order leaves that point untouched."""
+    """A K past the double range even in logs, below x of about 5.6e-309
+    where k_1 overflows, raises; a block's recurrence that overflows
+    above a point's own order leaves that point untouched."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="order 40"):
-            _log_ik_scipy(np.array([40]), np.array([1e-8]))
+            _log_ik_scipy(np.array([40]), np.array([1e-309]))
         block = _log_ik_scipy(np.array([1, 40]), np.array([1e-8, 1.0]))
     single = _log_ik_scipy(np.array([1]), np.array([1e-8]))
     for log_value, alone in zip(block, single):
@@ -497,16 +498,36 @@ def test_k_overflow_raises_without_warning():
         assert log_value[0] == alone[0]
 
 
-def test_order_40_overflow_edge_raises_without_warning():
-    """At order 40 the kernel's range ends at x = 8.787e-7, where k_41
-    overflows (about Gamma(41)/2 (2/x)^41): it raises just below the
-    edge, silently, and gives finite logs just above it."""
+def test_order_40_overflow_edge_is_seamless():
+    """At order 40 the recurrence in values ends at x = 8.787e-7, where
+    k_41 overflows (about Gamma(41)/2 (2/x)^41).  Just below the edge the
+    logs come from K's ratios, silently, and on both sides they match
+    mpmath."""
+    x = np.array([8.78e-7, 8.8e-7])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match="order 40"):
-            _log_ik_scipy(np.array([40]), np.array([8.78e-7]))
-        logs = _log_ik_scipy(np.array([40]), np.array([8.8e-7]))
-    assert all(np.isfinite(log_value).all() for log_value in logs)
+        logs = _log_ik_scipy(np.array([40, 40]), x)
+    with mp.workdps(40):
+        want = [oracles.log_pair(40, one) for one in x.tolist()]
+    for k, expected in enumerate(want):
+        for value, one in zip(logs, expected):
+            assert value[k] == pytest.approx(float(one), rel=1e-15)
+
+
+@pytest.mark.parametrize("n, x", [(16, 1.8e-19), (40, 1e-8), (1, 1e-300),
+                                  (40, 1e-300)])
+def test_k_past_the_double_range_takes_logs(n, x):
+    """Where the recurrence in values takes K past the double range, the
+    four logs come from K's ratios and match mpmath.  (16, 1.8e-19) is
+    the first abscissa of the first head block at alpha = 1e14."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = _log_ik_scipy(np.array([n]), np.array([x]))
+    with mp.workdps(40):
+        want = oracles.log_pair(n, x)
+    for value, expected in zip(logs, want):
+        assert abs(value[0] - float(expected)) <= 1e-13 * max(
+            1.0, abs(float(expected)))
 
 
 def test_large_argument_logs_match_mpmath():

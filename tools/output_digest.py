@@ -11,7 +11,9 @@ whatever the working directory or ``PYTHONPATH``.
 The outputs are the ``repr`` of the exact energy and pressure at a range
 of radius ratios, from near contact to far apart, and of the
 double-integral energy at alpha = 2, and the stdout of the CLI commands
-whose numbers README quotes.  It takes no options.
+whose numbers README quotes.  Each API line ends with the ``repr`` of
+its result's ``value`` and ``error``, so a diff of two digests shows how
+far each number moved, not only that it moved.  It takes no options.
 """
 
 from __future__ import annotations
@@ -57,13 +59,19 @@ def _stdout(argv) -> str:
     return f"{out.getvalue()}exit {code}\n"
 
 
+def _api_line(name: str, result) -> str:
+    """The hash of the result's ``repr``, then its value and error."""
+    return (f"{name} {_sha(repr(result))} value={result.value!r} "
+            f"error={result.error!r}")
+
+
 def main() -> None:
     for ratio in RATIOS:
-        print(f"interaction_energy({ratio!r})",
-              _sha(repr(interaction_energy(ratio))))
-        print(f"pressure_inner({ratio!r})", _sha(repr(pressure_inner(ratio))))
-    print("interaction_energy_double_integral(2.0)",
-          _sha(repr(interaction_energy_double_integral(2.0))))
+        print(_api_line(f"interaction_energy({ratio!r})",
+                        interaction_energy(ratio)))
+        print(_api_line(f"pressure_inner({ratio!r})", pressure_inner(ratio)))
+    print(_api_line("interaction_energy_double_integral(2.0)",
+                    interaction_energy_double_integral(2.0)))
     for argv in COMMANDS:
         print("cli:" + "_".join(argv), _sha(_stdout(argv)))
 
