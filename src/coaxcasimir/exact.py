@@ -391,7 +391,7 @@ class _OrderSum:
         self.evaluations += part.evaluations
         self.quad_ok = self.quad_ok and part.converged
         if n >= 1:
-            small = abs(contrib) < self.cfg.order_tol * abs(self.total)
+            small = abs(contrib) <= self.cfg.order_tol * abs(self.total)
             self.small_streak = self.small_streak + 1 if small else 0
         return self.small_streak >= 2
 

@@ -54,9 +54,23 @@ argument array from one kernel call:
       -K_n'(x) = K_{n-1}(x) + \tfrac{n}{x} K_n(x).
 
   Every one of these is a sum of positive terms, so nothing cancels.
-  At 300 random points of orders 0-40 and x from 1e-2 to 400, each of
-  the four logs errs by at most 4.2e-16 max(1, |log|) against 40-digit
-  mpmath, and the test-suite holds them to 3e-15 max(1, |log|);
+  In values, k_41 overflows below x of about 8.8e-7, and lower orders
+  at smaller x.  So below x = 2**-19 the recurrence carries row j as
+  :math:`c^j k_j`, with :math:`c = 2^e`, :math:`e = \lfloor\log_2 x
+  \rfloor`, per point: :math:`2c/x` lies in (1, 2], the rows stay below
+  9e59 to order 41 at any x, and every operation is the plain one's
+  times a power of two, so it rounds alike.  The same formulas then give
+  :math:`c^{n+1}` times the K pair and :math:`c^{-n}` times the I pair,
+  and the logs take :math:`(n + 1) e \ln 2` and :math:`n e \ln 2` back;
+  order 0, whose pair is in range wherever :math:`k_1` is, takes c = 1.
+  From 2**-19 up, c = 1 and the arithmetic is the plain one, bit for
+  bit; k_41 stays below 3e294 there.  Only at the bottom of the double
+  range, below x of about 1e-308 at orders 0 and 1 and 4.4e-307 at
+  order 40, where :math:`k_1`, :math:`2n/x` or :math:`I_1/I_0` leave
+  it, does the kernel raise ``OverflowError``.  At 300 random points of
+  orders 0-40 and x from 1e-2 to 400, each of the four logs errs by at
+  most 4.2e-16 max(1, |log|) against 40-digit mpmath, and the
+  test-suite holds them to 3e-15 max(1, |log|);
 * orders ``n >= 41``: the uniform large-order expansions of
   :math:`I_n, K_n` and of :math:`I_n', K_n'` (DLMF 10.41.3-4, polynomials
   :math:`u_k` and :math:`v_k`) carried to eighth order in ``1/n``,
@@ -80,8 +94,9 @@ Horner step takes its term's contiguous block per point; the table's
 powers of 1/n and the two log constants are Python float (libm)
 operations per order, because NumPy's vectorized ``pow`` differs from
 libm's in the last bit of some powers.  The K recurrence runs to the
-block's highest order and the ratio's from order 40 down, both
-elementwise.  A call at one order runs them on every point and keeps
+block's highest order and the ratio's from order 40 down to its lowest,
+both elementwise, and a call scales K only if it holds an abscissa
+below 2**-19.  A call at one order runs them on every point and keeps
 only the rows it needs: K's last two, which are its pair, and its own
 ratio.  A call at several runs them once per distinct abscissa, keeps
 every row, and each point picks its values by (order, distinct
@@ -112,13 +127,15 @@ __all__ = [
     "reflection_ratio_logs_dalpha",
 ]
 
-# Largest order of the small-order kernel, :func:`_log_ik_scipy`.  Above
-# it the uniform asymptotic expansion is both safe (no under/overflow for
-# any x) and accurate.  Below it the K recurrence in values leaves the
-# double range at small x (at order 40 below x of about 8.8e-7, where
-# k_41 overflows; lower orders reach smaller x), and there the kernel
-# carries K as ratios in log space instead (:func:`_log_ik_ratios`).
+# The seam between the two regimes: the largest order of the small-order
+# kernel, :func:`_log_ik_scipy`; above it the uniform expansions, which
+# are both safe (no under/overflow for any x) and accurate.
 _SMALL_ORDER_MAX = 40
+
+# From this abscissa up the K recurrence runs on plain values, and k_41
+# stays below 3e294; below it row j holds c**j k_j, c = 2**floor(log2 x).
+_UNSCALED_FROM = 2.0**-19
+_LN2 = math.log(2.0)
 
 # Euler's constant to 40 digits, as an exact rational for the K series.
 _EULER_GAMMA = Fraction("0.5772156649015328606065120900824024310422")
@@ -404,6 +421,17 @@ def _log_ik_debye(n, x: np.ndarray):
     return log_i, log_k, log_iprime, log_kprime
 
 
+def _horner(table: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_j table[j] * s**(len(table) - 1 - j)`` by Horner's rule,
+    highest power first, updating one accumulator in place."""
+    acc = table[0] * s
+    acc += table[1]
+    for term in table[2:]:
+        acc *= s
+        acc += term
+    return acc
+
+
 def _scaled_k01(x: np.ndarray) -> np.ndarray:
     r"""(k_0, k_1) = e^x (K_0(x), K_1(x)), stacked on a new leading axis.
 
@@ -434,12 +462,7 @@ def _scaled_k01(x: np.ndarray) -> np.ndarray:
     far = np.flatnonzero(flat > 2.0)
     u = flat[near]
     q = 0.25 * u * u
-    acc = _K01_SERIES[0] * q
-    acc += _K01_SERIES[1]
-    for term in _K01_SERIES[2:]:
-        acc *= q
-        acc += term
-    i0, i1_half, k0_part, k1_part = acc
+    i0, i1_half, k0_part, k1_part = _horner(_K01_SERIES, q)
     scale = np.exp(u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         log_half = np.log(0.5 * u)
@@ -447,13 +470,7 @@ def _scaled_k01(x: np.ndarray) -> np.ndarray:
         k[1, near] = (1.0 / u + (0.5 * u) * (log_half * i1_half + k1_part)
                       ) * scale
     u = flat[far]
-    t = 4.0 / u - 1.0
-    acc = _K01_POWERS[0] * t
-    acc += _K01_POWERS[1]
-    for term in _K01_POWERS[2:]:
-        acc *= t
-        acc += term
-    k[:, far] = acc / np.sqrt(u)
+    k[:, far] = _horner(_K01_POWERS, 4.0 / u - 1.0) / np.sqrt(u)
     return k.reshape((2,) + x.shape)
 
 
@@ -489,11 +506,7 @@ def _debye_ratio(m: int, x: np.ndarray) -> np.ndarray:
     hyp = np.hypot(1.0, z)
     t = 1.0 / hyp
     s = t * t
-    acc = table[0] * s
-    acc += table[1]
-    for term in table[2:]:
-        acc *= s
-        acc += term
+    acc = _horner(table, s)
     sum_u = 1.0 + acc[0] + t * acc[2]
     sum_v = 1.0 + acc[1] + t * acc[3]
     return (hyp * sum_v / sum_u - 1.0) / z
@@ -523,46 +536,95 @@ def _ratio_rows(top: int, bottom: int, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _k_pair_and_ratio(n, x: np.ndarray):
-    r"""(k_{|n-1|}, k_n, r_n) at each point, with r_n = I_{n+1}/I_n.
+def _k_rows(top: int, x: np.ndarray, rows):
+    r"""Run the K recurrence at ``x`` to order ``top`` in ``rows``; return
+    c's exponent.
 
-    K comes by the upward recurrence
     :math:`k_{j+1} = k_{j-1} + (2j/x)\,k_j` (DLMF 10.29.1; the factor
-    :math:`e^{x}` is common to every term) from :func:`_scaled_k01`,
-    stable upward since :math:`K_j` grows with j, and r from
-    :func:`_ratio_rows`.  The order array ``n`` matches ``x``; the K
-    recurrence runs to its highest order.  At one order both run on every
-    point and keep only the rows they need: the last two of K (``k_1``,
-    ``k_0`` at order 0) and the order's own r.  At several they run on the
-    distinct abscissae only, from ``np.unique``, keep their tables of rows,
-    and each point picks its values by its order and the index of its
-    abscissa.  Both are elementwise, so each point's values do not depend
-    on the other orders or on which abscissae repeat.  A K that leaves the
-    double range is not finite, without a warning.
+    :math:`e^{x}` is common to every term) runs up from :math:`k_0, k_1`
+    of :func:`_scaled_k01` in rows 0 and 1, stable since :math:`K_j`
+    grows with j.  ``rows`` holds m rows shaped like x: a table of
+    m = top + 1 keeps every row, and a list of m = 2 only the last two,
+    row j at j mod 2, each a new array, so the rolling rows copy
+    nothing.  Row j holds :math:`c^j k_j`, with :math:`c = 2^e` per
+    point.  If every point lies at or above ``_UNSCALED_FROM``, c = 1
+    and e comes back as None.  Otherwise :math:`e = \lfloor\log_2 x
+    \rfloor` below it, so that :math:`2c/x` lies in (1, 2] and row 41
+    stays below 9e59 however small x is, e = 0 above it, and the
+    recurrence reads
+
+    .. math::
+
+        c^{j+1} k_{j+1} = c^2\,(c^{j-1} k_{j-1})
+            + \frac{2j}{x/c}\,(c^j k_j),
+
+    each operation the plain one's times a power of two, so it rounds
+    alike, and at c = 1 it is the plain one bit for bit.  Below x of
+    about 1.5e-154 :math:`c^2` underflows, and with it a term below
+    :math:`x^2` of its sum.  A value past the double range is not
+    finite, silently.
     """
-    top = int(n.max())
-    if top == n.min():
-        ratio = _ratio_rows(top, top, x)[0]
-        below, k_n = _scaled_k01(x)
-        if top == 0:
-            return k_n, below, ratio
-        with np.errstate(over="ignore"):
-            for j in range(1, top):
-                below, k_n = k_n, below + (2.0 * j / x) * k_n
-        return below, k_n, ratio
-    distinct, point = np.unique(x, return_inverse=True)
-    point = point.reshape(x.shape)
-    k = np.empty((top + 1, distinct.size))
-    k[:2] = _scaled_k01(distinct)
-    with np.errstate(over="ignore"):
+    exponent = None
+    m = len(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.min() < _UNSCALED_FROM:
+            exponent = np.where(x < _UNSCALED_FROM, np.frexp(x)[1] - 1, 0)
+            rows[1] = np.ldexp(rows[1], exponent)
+            x = np.ldexp(x, -exponent)
+            c2 = np.ldexp(1.0, 2 * exponent)
         for j in range(1, top):
-            k[j + 1] = k[j - 1] + (2.0 * j / distinct) * k[j]
-    # each point's values from the flattened (order, distinct abscissa)
-    # tables
-    k = k.reshape(-1)
-    own = n * distinct.size + point
-    return (k[np.abs(n - 1) * distinct.size + point], k[own],
-            _ratio_rows(top, 0, distinct).reshape(-1)[own])
+            below = rows[(j - 1) % m]
+            if exponent is not None:
+                below = c2 * below
+            rows[(j + 1) % m] = below + (2.0 * j / x) * rows[j % m]
+    return exponent
+
+
+def _k_pair_and_ratio(n, x: np.ndarray):
+    r"""(:math:`c^{n+1} k_{|n-1|}`, :math:`c^{n+1} k_n`, r_n, e) at each point.
+
+    :math:`r_n = I_{n+1}/I_n`, and :math:`c = 2^e` is :func:`_k_rows`'
+    scale, e None where it is 1 at every point.  K comes from
+    :func:`_k_rows`, to the order array's highest order, and r from
+    :func:`_ratio_rows`.  At one order both run on every point and keep
+    only the rows they need: the last two of K (``k_1``, ``k_0`` at order
+    0) and the order's own r.  At several they run on the distinct
+    abscissae only, from ``np.unique``, keep their tables of rows (r's
+    from the highest order down to the lowest), and each point picks its
+    values by its order and the index of its abscissa.  Both are
+    elementwise, so each point's values do not depend on the other
+    orders or on which abscissae repeat.  Row j of K is :math:`c^j k_j`,
+    and ``ldexp`` turns rows into the pair exactly.  At order 0 c is 1
+    instead: that pair is in range wherever :math:`k_1` is, and a shift
+    of :math:`\ln k_0`, a small log, by :math:`e \ln 2` would cost it
+    digits.
+    """
+    top, bottom = int(n.max()), int(n.min())
+    if top == bottom:
+        ratio = _ratio_rows(top, top, x)[0]
+        k = list(_scaled_k01(x))
+        exponent = _k_rows(top, x, k)
+        pair = k[abs(top - 1) % 2], k[top % 2]
+    else:
+        distinct, point = np.unique(x, return_inverse=True)
+        point = point.reshape(x.shape)
+        k = np.empty((top + 1, distinct.size))
+        k[:2] = _scaled_k01(distinct)
+        exponent = _k_rows(top, distinct, k)
+        # each point's values from the flattened (order, distinct
+        # abscissa) tables
+        k = k.reshape(-1)
+        pair = (k[np.abs(n - 1) * distinct.size + point],
+                k[n * distinct.size + point])
+        ratio = _ratio_rows(top, bottom, distinct).reshape(-1)[
+            (n - bottom) * distinct.size + point]
+        if exponent is not None:
+            exponent = exponent[point]
+    if exponent is None:
+        return pair + (ratio, None)
+    power = np.where(n > 0, exponent, 0)
+    return (np.ldexp(pair[0], np.where(n > 0, 2 * exponent, -exponent)),
+            np.ldexp(pair[1], power), ratio, power)
 
 
 def _log_ik_scipy(n, x: np.ndarray):
@@ -572,8 +634,9 @@ def _log_ik_scipy(n, x: np.ndarray):
     once called, because the benchmark's tracer wraps it by that name.
     ``n`` is an int array of orders matching ``x``: orders up to
     ``_SMALL_ORDER_MAX`` from :func:`_pair_logs`, and higher ones in the
-    tests of the regimes' overlap.  The K pair ``|n-1|, n`` and
-    :math:`r_n = I_{n+1}/I_n` come from :func:`_k_pair_and_ratio`, and
+    tests of the regimes' overlap.  The K pair ``|n-1|, n`` times
+    :math:`c^{n+1}`, :math:`c = 2^e`, and :math:`r_n = I_{n+1}/I_n` come
+    from :func:`_k_pair_and_ratio`, and
     :math:`k_{n+1} = k_{|n-1|} + (2n/x)\,k_n` is the K recurrence's next
     step on the same operands, so it is bitwise the next row of its table
     (for n = 0 it is :math:`k_1`).  The Wronskian
@@ -586,63 +649,34 @@ def _log_ik_scipy(n, x: np.ndarray):
         i_n = \frac{1}{x\,(k_{n+1} + r_n k_n)}, \qquad
         i_n' = i_n\,(r_n + n/x),
 
-    sums of positive terms, so nothing cancels.  At the points where K or
-    i leaves the double range (x small against the order) the logs come
-    from :func:`_log_ik_ratios` instead; where even that fails, below x
-    of about 5.6e-309, the kernel raises ``OverflowError``.  Neither
-    warns.
+    sums of positive terms, so nothing cancels.  On the scaled pair, with
+    x/c for x in the first, they give :math:`i_n / c^n` and
+    :math:`i_n' / c^n`, both in the double range; the logs take
+    :math:`n e \ln 2` back into i and :math:`(n + 1) e \ln 2` into K.  At
+    c = 1 that is the plain arithmetic, and a call without a scaled point
+    skips it.  Where a log is still not finite, at the bottom of the
+    double range (below x of about 1e-308 at order 0), the kernel raises
+    ``OverflowError``, without a warning.
     """
-    k_below, k_n, ratio = _k_pair_and_ratio(n, x)
+    k_below, k_n, ratio, exponent = _k_pair_and_ratio(n, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n_over_x = n / x
         k_above = k_below + (2.0 * n / x) * k_n
-        i_n = 1.0 / (x * (k_above + ratio * k_n))
+        x_over_c = x if exponent is None else np.ldexp(x, -exponent)
+        i_n = 1.0 / (x_over_c * (k_above + ratio * k_n))
         # |k_n'| <= k_{n+1}, so it is finite when k_{n+1} is
         kprime = k_below + n_over_x * k_n
         logs = (np.log(i_n), np.log(k_n),
                 np.log(i_n * (ratio + n_over_x)), np.log(kprime))
-        bad = ~np.isfinite(k_above) | ~(i_n > 0.0)
-        if bad.any():
-            for log_value, fixed in zip(
-                    logs, _log_ik_ratios(n[bad], x[bad], ratio[bad])):
-                log_value[bad] = fixed
-            bad = ~np.isfinite(logs).all(axis=0)
-            if bad.any():
-                raise OverflowError(
-                    "scaled Bessel pair left the double range at order "
-                    f"{n[bad].max()}"
-                )
+    if exponent is not None:
+        i_shift, k_shift = n * exponent * _LN2, (n + 1) * exponent * _LN2
+        logs = (logs[0] + i_shift, logs[1] - k_shift,
+                logs[2] + i_shift, logs[3] - k_shift)
+    if not all(np.isfinite(log).all() for log in logs):
+        bad = ~np.isfinite(logs).all(axis=0)
+        raise OverflowError("scaled Bessel pair left the double range at "
+                            f"order {n[bad].max()}")
     return logs
-
-
-def _log_ik_ratios(n, x: np.ndarray, ratio: np.ndarray):
-    r"""The four logs of :func:`_log_ik_scipy` with K kept in log space.
-
-    The K recurrence runs on the ratios :math:`q_j = k_{j+1}/k_j =
-    1/q_{j-1} + 2j/x` from :math:`q_0 = k_1/k_0`, and
-    :math:`\ln k_n = \ln k_0 + \sum_{j<n} \ln q_j`, so no value leaves
-    the double range where :math:`k_0, k_1` do not.  With the ratio
-    :math:`r_n` the kernel's formulas read
-    :math:`\ln i_n = -\ln x - \ln k_n - \ln(q_n + r_n)` and
-    :math:`\ln |k_n'| = \ln k_n + \ln(k_{|n-1|}/k_n + n/x)`.  Only the
-    points the recurrence in values takes past the double range come
-    here, so every other point keeps that recurrence's bits.
-    """
-    k0, k1 = _scaled_k01(x)
-    q = k1 / k0
-    log_k = np.log(k0)
-    # each point's q_n and k_{|n-1|}/k_n; both are q_0 at n = 0
-    own, below = q.copy(), q.copy()
-    for j in range(1, int(n.max()) + 1):
-        log_k += np.where(n >= j, np.log(q), 0.0)
-        at = n == j
-        below[at] = 1.0 / q[at]
-        q = 1.0 / q + (2.0 * j) / x
-        own[at] = q[at]
-    n_over_x = n / x
-    log_i = -np.log(x) - log_k - np.log(own + ratio)
-    return (log_i, log_k, log_i + np.log(ratio + n_over_x),
-            log_k + np.log(below + n_over_x))
 
 
 def _pair_logs(n, x: np.ndarray):

@@ -272,6 +272,18 @@ def test_energy_per_order_breakdown(capsys):
     )
 
 
+@pytest.mark.parametrize("alpha", ["1e200", "1e300"])
+def test_energy_below_the_double_range_answers_zero(capsys, alpha):
+    """An energy too small for a double is a converged 0.0, exit 0, with
+    no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "energy", "--alpha", alpha)
+    assert code == 0
+    assert payload["interaction_energy"] == 0.0
+    assert payload["converged"] is True
+
+
 @pytest.mark.parametrize("alpha", ["1.005", "1.001", "1.0001"])
 def test_energy_near_contact_converges(capsys, alpha):
     """Past order 144 the tail ends the sum."""

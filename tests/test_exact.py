@@ -550,6 +550,18 @@ def test_far_apart_energy_matches_tight_numerics(ratio):
     assert result.value == pytest.approx(reference.value, rel=1e-8, abs=0.0)
 
 
+@pytest.mark.parametrize("ratio", [1e200, 1e300])
+def test_energy_below_the_double_range_is_a_converged_zero(ratio):
+    """Far enough apart every order's energy underflows to 0.0; a sum of
+    exact zeros stops at its second order, silently, with no tail."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy, pressure = interaction_energy(ratio), pressure_inner(ratio)
+    assert energy.value == 0.0 and energy.converged
+    assert energy.order_max == 2 and energy.tail is None
+    assert pressure.value == 0.0 and pressure.converged
+
+
 @pytest.mark.parametrize("ratio", sorted(TIGHT_PRESSURE))
 def test_pressure_tail_error_covers_the_tight_order_by_order_sum(ratio):
     pin, pin_error = TIGHT_PRESSURE[ratio]

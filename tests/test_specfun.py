@@ -379,12 +379,24 @@ def test_small_order_logs_match_mpmath_at_random_points():
                     1.0, abs(float(expected))), (order, point)
 
 
+def _unscaled_pair(n, x):
+    """The K pair of :func:`_k_pair_and_ratio`, divided by its power of
+    two, the exponent times n + 1."""
+    k_below, k_n, _, exponent = _k_pair_and_ratio(n, x)
+    if exponent is None:
+        return k_below, k_n
+    return (np.ldexp(k_below, -(n + 1) * exponent),
+            np.ldexp(k_n, -(n + 1) * exponent))
+
+
 def test_k_recurrence_matches_scipy_kve():
     """The upward recurrence from k_0 and k_1 against AMOS kve, both
-    orders."""
-    x = np.geomspace(1e-2, 1e3, 200)
+    orders, unscaled; from x = 1e-6 up, so that the points below 2**-19
+    run the scaled recurrence."""
+    x = np.geomspace(1e-6, 1e3, 200)
+    assert (x < 2.0**-19).any()
     for n in range(_SMALL_ORDER_MAX + 1):
-        k_below, k_n, _ = _k_pair_and_ratio(order_like(n, x), x)
+        k_below, k_n = _unscaled_pair(order_like(n, x), x)
         np.testing.assert_allclose(k_below, special.kve(abs(n - 1), x),
                                    rtol=1e-13)
         np.testing.assert_allclose(k_n, special.kve(n, x), rtol=1e-13)
@@ -393,18 +405,40 @@ def test_k_recurrence_matches_scipy_kve():
 def _scaled_k_table(n, x):
     """The K recurrence and the ratio rows as tables of every row up to
     the highest order, each point picking its values by a flat-index
-    gather."""
+    gather.  Row j holds c**j k_j, with c = 2**floor(log2 x) below
+    2**-19 and 1 above; each point takes its pair times c**(n + 1) (c = 1
+    at order 0) and that c's exponent."""
     top = max(int(n.max()), 1)
+    exponent = np.where(x < 2.0**-19, np.frexp(x)[1] - 1, 0)
+    c = np.ldexp(1.0, exponent)
     k = np.empty((top + 1,) + x.shape)
     k[:2] = _scaled_k01(x)
-    with np.errstate(over="ignore"):
+    k[1] *= c
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, top):
-            k[j + 1] = k[j - 1] + (2.0 * j / x) * k[j]
+            k[j + 1] = c * c * k[j - 1] + (2.0 * j / (x / c)) * k[j]
     point = np.arange(x.size).reshape(x.shape)
     k = k.reshape(-1)
     ratio = _ratio_rows(top, 0, x).reshape(-1)
-    return (k[np.abs(n - 1) * x.size + point], k[n * x.size + point],
-            ratio[n * x.size + point])
+    power = np.where(n > 0, exponent, 0)
+    below = np.abs(n - 1)
+    return (np.ldexp(k[below * x.size + point],
+                     (n + 1) * power - below * exponent),
+            np.ldexp(k[n * x.size + point], (n + 1) * power - n * exponent),
+            ratio[n * x.size + point], power)
+
+
+def _assert_equals_the_table(got, want, shape):
+    """Both K values and the ratio bit for bit, and the exponent, which
+    a call without a scaled point gives as None."""
+    *values, exponent = got
+    for value, table in zip(values, want):
+        assert value.shape == shape
+        assert np.array_equal(value, table)
+    if exponent is None:
+        assert not want[3].any()
+    else:
+        assert np.array_equal(exponent, want[3])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 17, 40])
@@ -413,27 +447,27 @@ def test_one_order_k_recurrence_equals_the_table(n, shape):
     """At one order the recurrences keep the rows they need only; both K
     values and the ratio are, bit for bit, those the tables give."""
     x = np.geomspace(1e-2, 1e3, 300).reshape(shape)
-    for got, want in zip(_k_pair_and_ratio(order_like(n, x), x),
-                         _scaled_k_table(order_like(n, x), x)):
-        assert got.shape == shape
-        assert np.array_equal(got, want)
+    _assert_equals_the_table(_k_pair_and_ratio(order_like(n, x), x),
+                             _scaled_k_table(order_like(n, x), x), shape)
 
 
-def test_one_order_k_overflow_stays_a_silent_inf():
+def test_one_order_k_below_the_scale_edge_stays_finite():
+    """At order 40 and x = 1e-8, where k_41 is past the double range,
+    the scaled recurrence keeps the pair finite, silently, and equal to
+    the table bit for bit."""
     x = np.array([1e-8, 1e-3, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _k_pair_and_ratio(order_like(40, x), x)
-    want = _scaled_k_table(order_like(40, x), x)
-    assert np.isinf(got[1][0]) and np.isfinite(got[1][1:]).all()
-    for value, table in zip(got, want):
-        assert np.array_equal(value, table)
+    assert np.isfinite(got[0]).all() and np.isfinite(got[1]).all()
+    _assert_equals_the_table(got, _scaled_k_table(order_like(40, x), x),
+                             x.shape)
 
 
 def _repeated_abscissae():
     """Orders 0-40 on a (2, M) argument, stacked as ``_ratio_logs``
     stacks y and alpha y, whose abscissae repeat within and across rows;
-    x = 1e-8 at order 40 takes K past the double range."""
+    x = 1e-8 at order 40 would take plain K past the double range."""
     rng = np.random.default_rng(40)
     pool = np.concatenate((np.geomspace(1e-2, 1e3, 50), [1e-8]))
     x = rng.choice(pool, size=(2, 150))
@@ -446,18 +480,15 @@ def _repeated_abscissae():
 
 def test_several_order_k_recurrence_on_repeated_abscissae_equals_the_table():
     """Run once per distinct abscissa, the recurrences give each point,
-    bit for bit, the values the tables over every point give it; an
-    order-40 overflow stays a silent ``inf``."""
+    bit for bit, the values the tables over every point give it; at
+    order 40 and x = 1e-8 the scaled K stays finite, silently."""
     n, x = _repeated_abscissae()
     assert np.unique(x).size < x.size // 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _k_pair_and_ratio(n, x)
-    want = _scaled_k_table(n, x)
-    assert np.isinf(got[1][:, 0]).all() and np.isfinite(got[1][:, 1]).all()
-    for value, table in zip(got, want):
-        assert value.shape == x.shape
-        assert np.array_equal(value, table)
+    assert np.isfinite(got[1][:, :2]).all()
+    _assert_equals_the_table(got, _scaled_k_table(n, x), x.shape)
 
 
 def test_several_order_k_recurrence_starts_from_distinct_abscissae(
@@ -500,9 +531,9 @@ def test_k_overflow_raises_without_warning():
 
 def test_order_40_overflow_edge_is_seamless():
     """At order 40 the recurrence in values ends at x = 8.787e-7, where
-    k_41 overflows (about Gamma(41)/2 (2/x)^41).  Just below the edge the
-    logs come from K's ratios, silently, and on both sides they match
-    mpmath."""
+    k_41 overflows (about Gamma(41)/2 (2/x)^41).  Below 2**-19 the logs
+    come from the scaled recurrence, silently, and on both sides of the
+    edge they match mpmath."""
     x = np.array([8.78e-7, 8.8e-7])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -517,9 +548,10 @@ def test_order_40_overflow_edge_is_seamless():
 @pytest.mark.parametrize("n, x", [(16, 1.8e-19), (40, 1e-8), (1, 1e-300),
                                   (40, 1e-300)])
 def test_k_past_the_double_range_takes_logs(n, x):
-    """Where the recurrence in values takes K past the double range, the
-    four logs come from K's ratios and match mpmath.  (16, 1.8e-19) is
-    the first abscissa of the first head block at alpha = 1e14."""
+    """Where the recurrence in values would take K past the double range,
+    the four logs come from the scaled recurrence and match mpmath.
+    (16, 1.8e-19) is the first abscissa of the first head block at
+    alpha = 1e14."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         logs = _log_ik_scipy(np.array([n]), np.array([x]))
@@ -528,6 +560,22 @@ def test_k_past_the_double_range_takes_logs(n, x):
     for value, expected in zip(logs, want):
         assert abs(value[0] - float(expected)) <= 1e-13 * max(
             1.0, abs(float(expected)))
+
+
+def test_order_0_below_the_scale_edge_keeps_its_digits():
+    """At order 0 the pair is in range wherever k_1 is, and takes no
+    scale: ln k_0, a log of order 10, keeps the digits a shift by
+    e ln 2 of order 700 would cost it.  In a block with order 1 at the
+    same abscissae as well."""
+    x = np.array([1e-300, 1e-20, 1e-8, 1.5e-6])
+    with mp.workdps(40):
+        want = [oracles.log_pair(0, one) for one in x.tolist()]
+    for n in (np.zeros(4, dtype=int), np.array([0, 0, 0, 0, 1, 1, 1, 1])):
+        logs = _log_ik_scipy(n, np.resize(x, n.size))
+        for k, expected in enumerate(want):
+            for value, one in zip(logs, expected):
+                assert abs(value[k] - float(one)) <= 1e-15 * max(
+                    1.0, abs(float(one)))
 
 
 def test_large_argument_logs_match_mpmath():
@@ -697,16 +745,26 @@ BLOCK_ACROSS_ORDERS = np.random.default_rng(7).permutation(
     np.repeat(np.arange(9, 73), 2))
 BLOCK_DEEP_ORDERS = BLOCK_ACROSS_ORDERS + 691
 BLOCK_ARGS = np.geomspace(0.5, 900.0, BLOCK_ACROSS_ORDERS.size)
+# orders 0-40, each twice, at abscissae above 2**-19, below it (the scaled
+# K recurrence), and below 8.8e-7, where order 40's plain K overflows
+SCALED_ORDERS = np.random.default_rng(19).permutation(
+    np.repeat(np.arange(41), 2))
+SCALED_ARGS = np.resize([1e-300, 1e-20, 1e-8, 8e-7, 1.5e-6, 2.0**-19,
+                         2e-6, 0.1, 30.0], SCALED_ORDERS.size)
 
 
 @pytest.mark.parametrize("kernel", [_log_ik_scipy, _log_ik_debye, _pair_logs])
 def test_order_array_kernels_equal_one_order_calls(kernel):
     """An order per point gives, bit for bit, each order's own call, near
-    the seam and in 64-order blocks across it and (outside the
-    small-order kernel's range, where it overflows) far above it."""
+    the seam and in 64-order blocks across it, (outside the small-order
+    kernel's range, where it overflows) far above it, and (inside it)
+    at orders 0-40 on abscissae that mix the plain and the scaled K
+    recurrence."""
     cases = [(SEAM_ORDERS, SEAM_ARGS), (BLOCK_ACROSS_ORDERS, BLOCK_ARGS)]
     if kernel is not _log_ik_scipy:
         cases.append((BLOCK_DEEP_ORDERS, BLOCK_ARGS))
+    if kernel is not _log_ik_debye:
+        cases.append((SCALED_ORDERS, SCALED_ARGS))
     for orders, args in cases:
         got = kernel(orders, args)
         for j, (n, x) in enumerate(zip(orders.tolist(), args)):

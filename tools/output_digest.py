@@ -33,7 +33,8 @@ from coaxcasimir.exact import (  # noqa: E402
     pressure_inner,
 )
 
-RATIOS = (1.0001, 1.001, 1.01, 1.05, 1.09, 1.1, 1.5, 2.0, 4.0)
+RATIOS = (1.0001, 1.001, 1.01, 1.05, 1.09, 1.1, 1.5, 2.0, 4.0, 10.0, 1e4,
+          1e10, 1e14)
 
 COMMANDS = (
     ("energy", "--alpha", "1.01", "--per-order"),
