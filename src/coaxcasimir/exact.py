@@ -212,14 +212,24 @@ DEFAULT_NUMERICS = NumericsConfig()
 
 #: The integer orders up to ``_HEAD`` go in lockstep blocks ``_BLOCK``
 #: wide (``_HEAD`` is a multiple of ``_BLOCK``; the schedule is
-#: :func:`_mode_sums`'s).  One Bessel kernel call per regime serves the
-#: pending panels of a whole block, and the orders of the last block past
-#: the stopping order are wasted work (at most ``_BLOCK - 1`` orders).
-#: The default sweep (up to order 138), every pinned ratio and the double
-#: route stop by ``_HEAD``; the double route, which has no tail, ends
-#: there as capped.
+#: :func:`_mode_sums`'s, and :func:`_blocks` lays it out), in the reduced
+#: sums and in the double route alike.  One Bessel kernel call per regime
+#: serves the pending panels of a whole block, and the orders of the last
+#: block past the stopping order are wasted work (at most ``_BLOCK - 1``
+#: orders).  The default sweep (up to order 138), every pinned ratio and
+#: the double route stop by ``_HEAD``; the double route, which has no
+#: tail, ends there as capped.
 _BLOCK = 16
 _HEAD = 144
+
+#: The double route's radial integrand hands the mode factor at most
+#: ``_SLICE`` abscissae at a time: after the two stencil points and the
+#: (y, alpha y) stack, ``4 * _SLICE`` Bessel kernel points.  At alpha = 2
+#: a round of the first block holds up to 18,240 abscissae.  The kernel's
+#: work arrays for all of them at once raised the route's peak resident
+#: memory by 9.4 MB over the orders one at a time, and in slices by
+#: 1.4 MB.  The kernel is elementwise, so slicing keeps every bit.
+_SLICE = 2048
 
 #: The 1/(4 pi) in front of every mode sum.
 _INV_4PI = 1.0 / (4.0 * math.pi)
@@ -520,11 +530,8 @@ def _mode_sums(integrand, sums: list, ratio: float,
     same integrand.
     """
     tail_cut = 1.0 / (ratio - 1.0)
-    starts = [len(sums[0].per_order), *range(_BLOCK + 1, _HEAD + 1, _BLOCK)]
-    blocks = [np.arange(first, end)
-              for first, end in zip(starts, starts[1:] + [_HEAD + 1])]
     live = list(range(len(sums)))
-    for orders in blocks:
+    for orders in _blocks(len(sums[0].per_order)):
         if not live:
             break
         # integral j of the block: sum live[j // width] at orders[j % width]
@@ -545,6 +552,15 @@ def _mode_sums(integrand, sums: list, ratio: float,
     if live:
         _add_tails(integrand, sums, live, tail_cut, cfg)
     return [one.result() for one in sums]
+
+
+def _blocks(first: int) -> list[np.ndarray]:
+    """The lockstep blocks of orders from ``first`` (at most ``_BLOCK + 1``)
+    to ``_HEAD``: ``first`` to ``_BLOCK``, then ``_BLOCK + 1`` to ``2
+    _BLOCK``, and so on, each an int array."""
+    starts = [first, *range(_BLOCK + 1, _HEAD + 1, _BLOCK)]
+    return [np.arange(lo, hi)
+            for lo, hi in zip(starts, starts[1:] + [_HEAD + 1])]
 
 
 def _add_tails(integrand, sums: list, live: list, tail_cut: float,
@@ -637,15 +653,66 @@ def _pressure_integrand(ratio: float):
     return integrand
 
 
-def _mode_factor_dy(n: int, y: np.ndarray, ratio: float) -> np.ndarray:
+def _mode_factor_dy(n, y: np.ndarray, ratio: float) -> np.ndarray:
     """d/dy of ln M_n by central differences; step tied to y's scale.
 
-    Both stencil points go to :func:`log_mode_factor` in one array; at
-    one order its arithmetic is elementwise, so this equals two calls.
+    ``n`` is one order or an int array of orders matching ``y``.  Both
+    stencil points go to :func:`log_mode_factor` in one array, each with
+    its own order; the arithmetic is elementwise, so this equals two
+    calls, and at mixed orders one call per order.
     """
     h = np.minimum(1e-5 * (1.0 + y), 0.5 * y)
-    both = log_mode_factor(n, np.concatenate((y + h, y - h)), ratio)
+    n = np.broadcast_to(n, y.shape)
+    both = log_mode_factor(np.concatenate((n, n)),
+                           np.concatenate((y + h, y - h)), ratio)
     return (both[:len(y)] - both[len(y):]) / (2.0 * h)
+
+
+def _double_block(orders: np.ndarray, ratio: float,
+                  cfg: NumericsConfig) -> list:
+    """The double route's per-order integrals, scaled, at ``orders``.
+
+    One outer :func:`~.quadrature.integrate_semi_infinite_batch` call
+    over k runs the integrals of all the orders in lockstep.  Each round
+    of it hands the inner integrals at all its (order, k) nodes to one
+    inner batch, whose integrand evaluates its abscissae ``_SLICE`` at a
+    time.  Each order's ``evaluations`` adds to its outer integral's the
+    points of the inner integrals at its nodes, and its ``converged``
+    asks all of them to have converged, those at nodes of outer segments
+    the march dropped included.
+    """
+    tail_cut = 1.0 / (ratio - 1.0)
+    # per order: the inner integrals' evaluations, and whether all converged
+    evaluations = [0] * len(orders)
+    all_ok = [True] * len(orders)
+
+    def outer(ks: np.ndarray, which: np.ndarray) -> np.ndarray:
+        node_order = orders[which]
+
+        def radial(u: np.ndarray, node: np.ndarray) -> np.ndarray:
+            out = np.empty(len(u))
+            for at in range(0, len(u), _SLICE):
+                part = slice(at, at + _SLICE)
+                j = node[part]
+                k, s = ks[j], u[part] * u[part]
+                out[part] = (2.0 * s * np.sqrt(s + 2.0 * k)
+                             * _mode_factor_dy(node_order[j], k + s, ratio))
+            return out
+
+        parts = integrate_semi_infinite_batch(radial, len(ks), cfg.quad,
+                                              tail_cut=math.sqrt(tail_cut))
+        for i, part in zip(which.tolist(), parts):
+            evaluations[i] += part.evaluations
+            all_ok[i] = all_ok[i] and part.converged
+        return np.array([part.value for part in parts])
+
+    parts = integrate_semi_infinite_batch(outer, len(orders), cfg.quad,
+                                          tail_cut=tail_cut)
+    prefactor = -1.0 / (2.0 * math.pi**2)
+    return [replace(part.scaled(prefactor),
+                    evaluations=inner + part.evaluations,
+                    converged=part.converged and ok)
+            for part, inner, ok in zip(parts, evaluations, all_ok)]
 
 
 def interaction_energy_double_integral(
@@ -684,50 +751,30 @@ def interaction_energy_double_integral(
     at :data:`DEFAULT_NUMERICS` and alpha = 2 the route is 4.65e-11 from
     the 30-digit energy while it reports 1.82e-12.
 
-    The inner integrals of one outer quadrature call (the 15 or 30 k
-    nodes of its pending panels) are evaluated together by
-    :func:`~.quadrature.integrate_semi_infinite_batch`, which hands their
-    abscissae to the mode factor in one array.  That only batches the
-    work: each inner integral keeps its own adaptive panels and returns
-    what it would return alone, so the route stays as independent of
-    the reduced form as before.
+    The orders run in the lockstep blocks of :func:`_mode_sums`, 0 to
+    16, 17 to 32, ..., up to 144 (:func:`_double_block`): one outer
+    batch over k per block, whose every round hands the inner integrals
+    at all its (order, k) nodes to one inner batch, evaluated ``_SLICE``
+    abscissae at a time.  At alpha = 2 that is one block, one outer
+    batch, 6 inner batches and 74 Bessel kernel calls, where the orders
+    one at a time took 15 outer integrals, 61 inner batches and 157
+    kernel calls.  That only batches the work: each integral, outer or
+    inner, keeps its own adaptive panels, the mode factor is
+    elementwise, and the block's orders fold into the sum in order, so
+    every field of the result is what the orders one at a time give,
+    and the route stays as independent of the reduced form as before.
+    The orders of the last block past the stopping order count in no
+    field.
 
-    The route has no tail: it sums the orders 0 to 144 one at a time,
-    and a sum still running after order 144 is flagged as capped.  At
-    alpha = 1.2, the closest to contact the tests run it, it stops at
-    order 45.
+    The route has no tail: a sum still running after order 144 is flagged
+    as capped.  At alpha = 1.2, the closest to contact the tests run it,
+    it takes three blocks and stops at order 45.
     """
     ratio = _validate_ratio(ratio)
-    tail_cut = 1.0 / (ratio - 1.0)
-    prefactor = -1.0 / (2.0 * math.pi**2)
-
-    def term(n: int):
-        evaluations = 0
-        all_ok = True
-
-        def outer(ks: np.ndarray) -> np.ndarray:
-            nonlocal evaluations, all_ok
-
-            def radial(u: np.ndarray, which: np.ndarray) -> np.ndarray:
-                k = ks[which]
-                s = u * u
-                return (2.0 * s * np.sqrt(s + 2.0 * k)
-                        * _mode_factor_dy(n, k + s, ratio))
-
-            parts = integrate_semi_infinite_batch(radial, len(ks), cfg.quad,
-                                                  tail_cut=math.sqrt(tail_cut))
-            evaluations += sum(part.evaluations for part in parts)
-            all_ok = all_ok and all(part.converged for part in parts)
-            return np.array([part.value for part in parts])
-
-        part = integrate_semi_infinite(outer, cfg.quad, tail_cut=tail_cut)
-        return replace(part.scaled(prefactor),
-                       evaluations=evaluations + part.evaluations,
-                       converged=part.converged and all_ok)
-
     one = _OrderSum(cfg)
-    for n in range(_HEAD + 1):
-        if one.add(term(n)):
+    for orders in _blocks(0):
+        # any() adds the block's orders up to the one that stops the sum
+        if any(one.add(part) for part in _double_block(orders, ratio, cfg)):
             break
     else:
         one.capped = True

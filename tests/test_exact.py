@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coaxcasimir import exact
+from coaxcasimir import exact, specfun
 from coaxcasimir import (
     DEFAULT_NUMERICS,
     HBAR_C,
@@ -489,16 +489,22 @@ def test_double_route_inner_integral_in_u_equals_integral_in_s(monkeypatch):
     integral over s = y - k of sqrt(s (s + 2 k)) d ln M_n / dy."""
     ratio = 2.0
     ks = np.array([0.01, 1.0])
-    inner = []
+    batch = exact.integrate_semi_infinite_batch
+    outer_counts, inner = [], []
 
-    def outer_at_ks(outer, spec, tail_cut):
-        inner.append(outer(ks))
-        return QuadratureResult(1.0, 0.0, 0, True)
+    def outer_at_ks(f, count, spec, *, tail_cut):
+        if outer_counts:  # an inner batch, from the outer integrand below
+            return batch(f, count, spec, tail_cut=tail_cut)
+        outer_counts.append(count)
+        # the block's outer integrand at the ks of each of its orders
+        inner.extend(f(np.tile(ks, count), np.repeat(np.arange(count), 2))
+                     .reshape(count, 2))
+        return [QuadratureResult(1.0, 0.0, 0, True)] * count
 
     monkeypatch.setattr(exact, "_HEAD", 5)
-    monkeypatch.setattr(exact, "integrate_semi_infinite", outer_at_ks)
+    monkeypatch.setattr(exact, "integrate_semi_infinite_batch", outer_at_ks)
     interaction_energy_double_integral(ratio)
-    assert len(inner) == 6
+    assert outer_counts == [6]
     for n in (0, 5):
         for k, in_u in zip(ks, inner[n]):
             in_s = integrate_semi_infinite(
@@ -507,6 +513,34 @@ def test_double_route_inner_integral_in_u_equals_integral_in_s(monkeypatch):
                 QuadratureSpec(rel_tol=1e-10), tail_cut=1.0 / (ratio - 1.0))
             assert in_s.converged
             assert in_u == pytest.approx(in_s.value, rel=1e-8)
+
+
+def test_double_route_blocks_keep_the_bits(monkeypatch):
+    """At alpha = 1.2 the route takes three blocks of orders and stops at
+    order 45; run one order per block, it gives the same result."""
+    blocks = interaction_energy_double_integral(1.2)
+    assert blocks.order_max == 45 and not blocks.order_capped
+    monkeypatch.setattr(exact, "_blocks", lambda first: [
+        np.array([n]) for n in range(first, exact._HEAD + 1)])
+    assert repr(interaction_energy_double_integral(1.2)) == repr(blocks)
+
+
+@pytest.mark.parametrize("ratio", [2.0, 1.2])
+def test_double_route_kernel_calls_stay_within_the_slice(monkeypatch, ratio):
+    """The route's radial integrand hands the Bessel kernel at most 8,192
+    points per call, however many inner integrals a block's round holds:
+    the slice bounds the kernel's working set, and so the peak memory."""
+    sizes = []
+    pair_logs = specfun._pair_logs
+
+    def recorded(n, x):
+        sizes.append(x.size)
+        return pair_logs(n, x)
+
+    monkeypatch.setattr(specfun, "_pair_logs", recorded)
+    interaction_energy_double_integral(ratio)
+    assert 4 * exact._SLICE == 8192
+    assert max(sizes) == 8192
 
 
 # The order-by-order sums before the tail existed (commit 76b64f1), at

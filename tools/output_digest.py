@@ -10,8 +10,8 @@ whatever the working directory or ``PYTHONPATH``.
 
 The outputs are the ``repr`` of the exact energy and pressure at a range
 of radius ratios, from near contact to far apart, and of the
-double-integral energy at alpha = 2, and the stdout of the CLI commands
-whose numbers README quotes.  Each API line ends with the ``repr`` of
+double-integral energy at alpha = 2 and 1.2, and the stdout of the CLI
+commands whose numbers README quotes.  Each API line ends with the ``repr`` of
 its result's ``value`` and ``error``, so a diff of two digests shows how
 far each number moved, not only that it moved.  It takes no options.
 """
@@ -35,6 +35,9 @@ from coaxcasimir.exact import (  # noqa: E402
 
 RATIOS = (1.0001, 1.001, 1.01, 1.05, 1.09, 1.1, 1.5, 2.0, 4.0, 10.0, 1e4,
           1e10, 1e14)
+
+#: The double-integral route at one block of orders and at three.
+DOUBLE_RATIOS = (2.0, 1.2)
 
 COMMANDS = (
     ("energy", "--alpha", "1.01", "--per-order"),
@@ -71,8 +74,9 @@ def main() -> None:
         print(_api_line(f"interaction_energy({ratio!r})",
                         interaction_energy(ratio)))
         print(_api_line(f"pressure_inner({ratio!r})", pressure_inner(ratio)))
-    print(_api_line("interaction_energy_double_integral(2.0)",
-                    interaction_energy_double_integral(2.0)))
+    for ratio in DOUBLE_RATIOS:
+        print(_api_line(f"interaction_energy_double_integral({ratio!r})",
+                        interaction_energy_double_integral(ratio)))
     for argv in COMMANDS:
         print("cli:" + "_".join(argv), _sha(_stdout(argv)))
 
